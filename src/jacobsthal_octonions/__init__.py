@@ -4,105 +4,20 @@ that checks every registered identity along two independent computation
 paths, reporting exact witnesses for any discrepancy.
 """
 
-from .errors import DomainError, InconsistencyError, UnknownVariantError
-from .identities import (
-    BILINEAR_U,
-    BILINEAR_W,
-    BilinearOrder,
-    IdentityDescriptor,
-    IdentityId,
-    ProductOrder,
-    RangeReport,
-    REGISTRY,
-    Variant,
-    VariantPolicy,
-    VerificationReport,
-    bilinear_product,
-    closed_product,
-    get_descriptor,
-    run_suite,
-    value_to_json,
-    verify,
-    verify_range,
-)
-from .octonion import (
-    MULTIPLICATION_TABLE,
-    Octonion,
-    ScaledOctonion,
-    SignedBasis,
-    basis_product,
-)
-from .octonion_sequences import (
-    ALPHA,
-    EPSILON_HAT_ROWS,
-    OctonionSequenceKind,
-    alpha,
-    epsilon_hat,
-    oct_conjugate_norm,
-    oct_seq,
-    oct_seq_closed,
-)
-from .sequences import (
-    CORRECTION_TABLE,
-    SCALAR_IDENTITY_IDS,
-    SCALAR_IDENTITY_MIN_INDEX,
-    SequenceKind,
-    THIRD_ORDER_KINDS,
-    correction,
-    partial_sum,
-    partial_sum_closed,
-    scalar_identity_sides,
-    seq_closed,
-    seq_value,
-)
+from . import errors, identities, octonion, octonion_sequences, sequences
+from .errors import *
+from .identities import *
+from .octonion import *
+from .octonion_sequences import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "InconsistencyError",
-    "UnknownVariantError",
-    "SignedBasis",
-    "MULTIPLICATION_TABLE",
-    "basis_product",
-    "Octonion",
-    "ScaledOctonion",
-    "SequenceKind",
-    "THIRD_ORDER_KINDS",
-    "CORRECTION_TABLE",
-    "correction",
-    "seq_value",
-    "seq_closed",
-    "partial_sum",
-    "partial_sum_closed",
-    "SCALAR_IDENTITY_IDS",
-    "SCALAR_IDENTITY_MIN_INDEX",
-    "scalar_identity_sides",
-    "OctonionSequenceKind",
-    "ALPHA",
-    "EPSILON_HAT_ROWS",
-    "alpha",
-    "epsilon_hat",
-    "oct_seq",
-    "oct_seq_closed",
-    "oct_conjugate_norm",
-    "IdentityId",
-    "Variant",
-    "VariantPolicy",
-    "ProductOrder",
-    "BilinearOrder",
-    "IdentityDescriptor",
-    "VerificationReport",
-    "RangeReport",
-    "REGISTRY",
-    "get_descriptor",
-    "verify",
-    "verify_range",
-    "run_suite",
-    "closed_product",
-    "bilinear_product",
-    "BILINEAR_W",
-    "BILINEAR_U",
-    "value_to_json",
+    *errors.__all__,
+    *octonion.__all__,
+    *sequences.__all__,
+    *octonion_sequences.__all__,
+    *identities.__all__,
     "__version__",
 ]

@@ -16,12 +16,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .errors import UnknownVariantError
 from .identities import (
+    REGISTRY,
     IdentityId,
     RangeReport,
     Variant,
-    VariantPolicy,
-    get_descriptor,
     run_suite,
     value_to_json,
     verify_range,
@@ -128,27 +128,22 @@ def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
         if args.variant == "corrected":
             raise UsageError("--variant corrected needs a single --identity; "
                              "use --variant both with --all")
-        policy = (VariantPolicy.PRINTED_AND_CORRECTED if args.variant == "both"
-                  else VariantPolicy.PRINTED_ONLY)
-        return run_suite(policy, args.n_to, args.n_from)
+        variants = set(Variant) if args.variant == "both" else {Variant.AS_PRINTED}
+        return run_suite(variants, args.n_to, args.n_from)
     try:
         identity = IdentityId[args.identity]
     except KeyError:
         raise UsageError(f"unknown identity {args.identity!r}; known ids: "
                          + ", ".join(i.name for i in IdentityId)) from None
-    descriptor = get_descriptor(identity)
-    if args.variant == "printed":
-        variants = [Variant.AS_PRINTED]
-    elif args.variant == "corrected":
-        if not descriptor.has_corrected:
-            raise UsageError(f"{identity.name} has no corrected variant")
-        variants = [Variant.CORRECTED]
+    if args.variant == "both":
+        variants = REGISTRY[identity].variants
     else:
-        variants = [Variant.AS_PRINTED]
-        if descriptor.has_corrected:
-            variants.append(Variant.CORRECTED)
-    return [verify_range(identity, variant, args.n_from, args.n_to)
-            for variant in variants]
+        variants = (Variant(args.variant),)
+    try:
+        return [verify_range(identity, variant, args.n_from, args.n_to)
+                for variant in variants]
+    except UnknownVariantError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _format_reports(reports: list[RangeReport], fmt: str) -> str:
@@ -229,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one identity id, e.g. E4 or T5_QUAD")
     target.add_argument("--all", action="store_true",
                         help="verify every registered identity")
-    p_ver.add_argument("--variant", choices=("printed", "corrected", "both"),
+    p_ver.add_argument("--variant", choices=[*(v.value for v in Variant), "both"],
                        default="printed",
                        help="which form to check (default: printed)")
     p_ver.add_argument("--from", dest="n_from", type=int, default=0,

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "InconsistencyError", "UnknownVariantError"]
+
 
 class DomainError(ValueError):
     """An index lies outside the domain an operation is defined on."""

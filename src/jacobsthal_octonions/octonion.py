@@ -122,7 +122,8 @@ class Octonion:
         if len(c) != 8:
             raise ValueError(f"an octonion has exactly 8 coefficients, got {len(c)}")
         for x in c:
-            if not isinstance(x, int):
+            # Exactly int: a bool is an int subclass but not a coefficient.
+            if type(x) is not int:
                 raise TypeError(f"coefficients must be int, got {type(x).__name__}")
         self._c = c
 
@@ -243,7 +244,7 @@ class ScaledOctonion:
     def __init__(self, numerator: Octonion, denominator: int = 1) -> None:
         if not isinstance(numerator, Octonion):
             raise TypeError("numerator must be an Octonion")
-        if not isinstance(denominator, int) or denominator <= 0:
+        if type(denominator) is not int or denominator <= 0:
             raise ValueError(f"denominator must be a positive integer, got {denominator!r}")
         g = denominator
         for a in numerator.coefficients:

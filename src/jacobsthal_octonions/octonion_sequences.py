@@ -26,11 +26,9 @@ __all__ = [
     "OctonionSequenceKind",
     "ALPHA",
     "EPSILON_HAT_ROWS",
-    "alpha",
     "epsilon_hat",
     "oct_seq",
     "oct_seq_closed",
-    "oct_conjugate_norm",
 ]
 
 
@@ -46,16 +44,12 @@ _SCALAR_FOR = {
     OctonionSequenceKind.JACOBSTHAL_LUCAS: SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS,
 }
 
+# The closed-form constant alpha, with coefficient 2^s at basis index s.
 ALPHA = Octonion(tuple(2 ** s for s in range(8)))
 
 EPSILON_HAT_ROWS = tuple(
     Octonion(tuple(correction(r + s) for s in range(8))) for r in range(3)
 )
-
-
-def alpha() -> Octonion:
-    """The closed-form constant with coefficient 2^s at basis index s."""
-    return ALPHA
 
 
 def epsilon_hat(n: int) -> Octonion:
@@ -88,9 +82,3 @@ def oct_seq_closed(kind: OctonionSequenceKind, n: int) -> Octonion:
     if kind is OctonionSequenceKind.JACOBSTHAL:
         return _exact_div7(ALPHA * 2 ** (n + 1) - epsilon_hat(n))
     return _exact_div7(ALPHA * 2 ** (n + 3) + epsilon_hat(n) * 3)
-
-
-def oct_conjugate_norm(kind: OctonionSequenceKind, n: int) -> tuple[Octonion, int]:
-    """Conjugate and squared norm of the n-th octonion of ``kind``."""
-    p = oct_seq(kind, n)
-    return p.conjugate(), p.norm_sq()

@@ -16,15 +16,16 @@ transcription self-check.
 
 Negative indices are rejected everywhere: extending the recurrences
 backwards yields non-integer values for the Lucas-type sequence, so the
-domain is n >= 0 only.  ``scalar_identity_sides`` evaluates both sides of
-each registered scalar identity; the three identities that reference index
-n-3 (E5, E9, E12) therefore require n >= 3.
+domain is n >= 0 only.  ``SCALAR_IDENTITIES`` holds one row per scalar
+identity, and ``scalar_identity_sides`` evaluates both sides of one; the
+identities that reference index n-3 therefore require n >= 3.
 """
 
 from __future__ import annotations
 
 import threading
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, InconsistencyError
 
@@ -37,8 +38,7 @@ __all__ = [
     "seq_closed",
     "partial_sum",
     "partial_sum_closed",
-    "SCALAR_IDENTITY_IDS",
-    "SCALAR_IDENTITY_MIN_INDEX",
+    "SCALAR_IDENTITIES",
     "scalar_identity_sides",
 ]
 
@@ -144,81 +144,69 @@ def _jl3(n: int) -> int:
     return seq_value(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n)
 
 
-# Scalar identities, each as (lhs, rhs) with the left side always computed
-# from recurrence-generated values.  EC5/E6/E8 have period-3 right sides.
+class ScalarIdentity(NamedTuple):
+    """One scalar identity: its statement, both sides as exact integers
+    (the left side always from recurrence-generated values), and the least
+    index at which every term it references exists."""
+
+    statement: str
+    sides: Callable[[int], tuple[int, int]]
+    n_min: int = 0
 
 
-def _e4(n: int):
-    return 3 * _j3(n) + _jl3(n), 2 ** (n + 1)
-
-
-def _e5(n: int):
-    return _jl3(n) - 3 * _j3(n), 2 * _jl3(n - 3)
-
-
-def _ec5(n: int):
-    return _j3(n + 2) - 4 * _j3(n), -2 if n % 3 == 1 else 1
-
-
-def _e6(n: int):
-    return _jl3(n) - 4 * _j3(n), correction(n)
-
-
-def _e7(n: int):
-    return _jl3(n + 1) + _jl3(n), 3 * _j3(n + 2)
-
-
-def _e8(n: int):
-    return _jl3(n) - _j3(n + 2), (1, -1, 0)[n % 3]
-
-
-def _e9(n: int):
-    return _jl3(n - 3) ** 2 + 3 * _j3(n) * _jl3(n), 4 ** n
-
-
-def _e10(n: int):
-    kind = SequenceKind.THIRD_ORDER_JACOBSTHAL
-    return partial_sum(kind, n), partial_sum_closed(kind, n)
-
-
-def _e11(n: int):
-    kind = SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS
-    return partial_sum(kind, n), partial_sum_closed(kind, n)
-
-
-def _e12(n: int):
-    return _jl3(n) ** 2 - 9 * _j3(n) ** 2, 2 ** (n + 2) * _jl3(n - 3)
-
-
-def _jsum(n: int):
-    return _j3(n + 2) + _j3(n + 1) + _j3(n), 2 ** (n + 1)
-
-
-_SCALAR_SIDES = {
-    "E4": _e4, "E5": _e5, "EC5": _ec5, "E6": _e6, "E7": _e7, "E8": _e8,
-    "E9": _e9, "E10": _e10, "E11": _e11, "E12": _e12, "JSUM": _jsum,
+# The scalar identities in report order; rows that reference index n-3
+# start at n = 3.  EC5, E6 and E8 have period-3 right sides.
+SCALAR_IDENTITIES = {
+    "E4": ScalarIdentity(
+        "3*J3(n) + JL3(n) = 2^(n+1)",
+        lambda n: (3 * _j3(n) + _jl3(n), 2 ** (n + 1))),
+    "E5": ScalarIdentity(
+        "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
+        lambda n: (_jl3(n) - 3 * _j3(n), 2 * _jl3(n - 3)), n_min=3),
+    "EC5": ScalarIdentity(
+        "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
+        lambda n: (_j3(n + 2) - 4 * _j3(n), -2 if n % 3 == 1 else 1)),
+    "E6": ScalarIdentity(
+        "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
+        lambda n: (_jl3(n) - 4 * _j3(n), correction(n))),
+    "E7": ScalarIdentity(
+        "JL3(n+1) + JL3(n) = 3*J3(n+2)",
+        lambda n: (_jl3(n + 1) + _jl3(n), 3 * _j3(n + 2))),
+    "E8": ScalarIdentity(
+        "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
+        lambda n: (_jl3(n) - _j3(n + 2), (1, -1, 0)[n % 3])),
+    "E9": ScalarIdentity(
+        "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
+        lambda n: (_jl3(n - 3) ** 2 + 3 * _j3(n) * _jl3(n), 4 ** n), n_min=3),
+    "E10": ScalarIdentity(
+        "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
+        lambda n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL, n),
+                   partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
+    "E11": ScalarIdentity(
+        "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
+        lambda n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n),
+                   partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
+    "E12": ScalarIdentity(
+        "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
+        lambda n: (_jl3(n) ** 2 - 9 * _j3(n) ** 2, 2 ** (n + 2) * _jl3(n - 3)), n_min=3),
+    "JSUM": ScalarIdentity(
+        "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
+        lambda n: (_j3(n + 2) + _j3(n + 1) + _j3(n), 2 ** (n + 1))),
 }
-
-SCALAR_IDENTITY_IDS = tuple(_SCALAR_SIDES)
-
-# E5, E9 and E12 reference index n-3; terms below index 0 are undefined.
-SCALAR_IDENTITY_MIN_INDEX = {name: 3 if name in ("E5", "E9", "E12") else 0
-                             for name in _SCALAR_SIDES}
 
 
 def scalar_identity_sides(identity, n: int) -> tuple[int, int]:
     """Both sides of a scalar identity at index n, evaluated exactly.
 
-    ``identity`` is one of the names in SCALAR_IDENTITY_IDS (an enum member
+    ``identity`` is one of the names in SCALAR_IDENTITIES (an enum member
     with that ``name`` is accepted too).  Returns (lhs, rhs) rather than a
     boolean so that a discrepancy report can carry the witness values.
     """
     name = getattr(identity, "name", identity)
     try:
-        sides = _SCALAR_SIDES[name]
+        row = SCALAR_IDENTITIES[name]
     except KeyError:
         raise ValueError(f"unknown scalar identity {name!r}") from None
-    n_min = SCALAR_IDENTITY_MIN_INDEX[name]
-    if n < n_min:
-        raise DomainError(f"identity {name} is defined for n >= {n_min}, got {n}")
-    return sides(n)
+    if n < row.n_min:
+        raise DomainError(f"identity {name} is defined for n >= {row.n_min}, got {n}")
+    return row.sides(n)

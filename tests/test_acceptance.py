@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from jacobsthal_octonions.cli import main
 from jacobsthal_octonions.identities import (
-    BilinearOrder,
     IdentityId,
     ProductOrder,
     Variant,
@@ -137,10 +136,10 @@ def test_criterion_6_closed_products_and_bilinear_expansion():
         for r in range(8):
             for s in range(8):
                 expected = 49 * seq_value(JL3, n + r) * seq_value(J3, n + s)
-                if bilinear_product(BilinearOrder.LUCAS_TIMES_JACOBSTHAL, n, r, s) != expected:
+                if bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n, r, s) != expected:
                     problems.append(f"bilinear jJ differs at ({n},{r},{s})")
                 expected = 49 * seq_value(J3, n + r) * seq_value(JL3, n + s)
-                if bilinear_product(BilinearOrder.JACOBSTHAL_TIMES_LUCAS, n, r, s) != expected:
+                if bilinear_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n, r, s) != expected:
                     problems.append(f"bilinear Jj differs at ({n},{r},{s})")
     _conclude(6, "closed products at n=0,3,...,60 and bilinear expansion", problems)
 

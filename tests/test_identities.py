@@ -6,15 +6,12 @@ from jacobsthal_octonions.errors import DomainError, UnknownVariantError
 from jacobsthal_octonions.identities import (
     BILINEAR_U,
     BILINEAR_W,
-    BilinearOrder,
     IdentityId,
     ProductOrder,
     REGISTRY,
     Variant,
-    VariantPolicy,
     bilinear_product,
     closed_product,
-    get_descriptor,
     run_suite,
     value_to_json,
     verify,
@@ -176,14 +173,14 @@ def test_range_unknown_variant_propagates():
 
 
 def test_suite_printed_only():
-    reports = run_suite(VariantPolicy.PRINTED_ONLY, 30)
+    reports = run_suite({PRINTED}, 30)
     assert len(reports) == 28
     failing = {r.identity for r in reports if r.failures}
     assert failing == {IdentityId.T5_QUAD, IdentityId.T6_QUAD}
 
 
 def test_suite_with_corrected_rows():
-    reports = run_suite(VariantPolicy.PRINTED_AND_CORRECTED, 30)
+    reports = run_suite({PRINTED, CORRECTED}, 30)
     assert len(reports) == 30
     corrected = [r for r in reports if r.variant is CORRECTED]
     assert {r.identity for r in corrected} == {IdentityId.T5_QUAD, IdentityId.T6_QUAD}
@@ -191,7 +188,7 @@ def test_suite_with_corrected_rows():
 
 
 def test_suite_at_zero():
-    reports = {r.identity: r for r in run_suite(VariantPolicy.PRINTED_ONLY, 0)}
+    reports = {r.identity: r for r in run_suite({PRINTED}, 0)}
     assert reports[IdentityId.T6_QUAD].passed
     assert not reports[IdentityId.T5_QUAD].passed
     # ids whose domain excludes n=0 check nothing but do not fail
@@ -200,8 +197,8 @@ def test_suite_at_zero():
 
 
 def test_suite_order_is_stable():
-    first = [(r.identity, r.variant) for r in run_suite(VariantPolicy.PRINTED_AND_CORRECTED, 3)]
-    second = [(r.identity, r.variant) for r in run_suite(VariantPolicy.PRINTED_AND_CORRECTED, 3)]
+    first = [(r.identity, r.variant) for r in run_suite({PRINTED, CORRECTED}, 3)]
+    second = [(r.identity, r.variant) for r in run_suite({PRINTED, CORRECTED}, 3)]
     assert first == second
 
 
@@ -241,9 +238,9 @@ def test_bilinear_tables():
 
 
 def test_bilinear_product_spot_values():
-    assert bilinear_product(BilinearOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 0) == 0
-    assert bilinear_product(BilinearOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 1) == 98
-    assert bilinear_product(BilinearOrder.JACOBSTHAL_TIMES_LUCAS, 0, 3, 3) == 980
+    assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 0) == 0
+    assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 1) == 98
+    assert bilinear_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, 0, 3, 3) == 980
 
 
 def test_bilinear_product_matches_sequences():
@@ -253,14 +250,14 @@ def test_bilinear_product_matches_sequences():
         for r in range(8):
             for s in range(8):
                 direct_jj = 49 * seq_value(jl3, n + r) * seq_value(j3, n + s)
-                assert bilinear_product(BilinearOrder.LUCAS_TIMES_JACOBSTHAL, n, r, s) == direct_jj
+                assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n, r, s) == direct_jj
                 direct_jj = 49 * seq_value(j3, n + r) * seq_value(jl3, n + s)
-                assert bilinear_product(BilinearOrder.JACOBSTHAL_TIMES_LUCAS, n, r, s) == direct_jj
+                assert bilinear_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n, r, s) == direct_jj
 
 
 def test_bilinear_product_domain():
     with pytest.raises(DomainError):
-        bilinear_product(BilinearOrder.LUCAS_TIMES_JACOBSTHAL, -1, 0, 0)
+        bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, -1, 0, 0)
 
 
 # --- report serialization ---------------------------------------------------
@@ -293,7 +290,7 @@ def test_value_serialization_shapes():
 
 
 def test_descriptor_lookup():
-    descriptor = get_descriptor(IdentityId.T4_PROD_JOJ)
+    descriptor = REGISTRY[IdentityId.T4_PROD_JOJ]
     assert descriptor.residue == 0
     assert not descriptor.has_corrected
-    assert get_descriptor(IdentityId.OCT_REC).n_min == 1
+    assert REGISTRY[IdentityId.OCT_REC].n_min == 1

@@ -83,6 +83,13 @@ def test_construction_validates_shape_and_type():
         Octonion((1.0, 0, 0, 0, 0, 0, 0, 0))
 
 
+def test_construction_rejects_bool_coefficients():
+    with pytest.raises(TypeError):
+        Octonion((True,) * 8)
+    with pytest.raises(TypeError):
+        Octonion((0, 0, 0, 0, 0, 0, 0, False))
+
+
 def test_add_sub_componentwise():
     assert E[0] + E[1] == Octonion((1, 1, 0, 0, 0, 0, 0, 0))
     rng = random.Random(7)
@@ -188,6 +195,11 @@ def test_scaled_denominator_must_be_positive():
         ScaledOctonion(Octonion.zero(), 0)
     with pytest.raises(ValueError):
         ScaledOctonion(Octonion.zero(), -7)
+
+
+def test_scaled_denominator_rejects_bool():
+    with pytest.raises(ValueError):
+        ScaledOctonion(Octonion.one(), True)
 
 
 def test_scaled_equality_is_cross_multiplied():

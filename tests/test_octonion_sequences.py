@@ -6,9 +6,7 @@ from jacobsthal_octonions.octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
-    alpha,
     epsilon_hat,
-    oct_conjugate_norm,
     oct_seq,
     oct_seq_closed,
 )
@@ -18,7 +16,7 @@ JOL = OctonionSequenceKind.JACOBSTHAL_LUCAS
 
 
 def test_alpha_constant():
-    assert alpha() == Octonion((1, 2, 4, 8, 16, 32, 64, 128))
+    assert ALPHA == Octonion((1, 2, 4, 8, 16, 32, 64, 128))
     c = ALPHA.coefficients
     for s in range(7):
         assert c[s + 1] == 2 * c[s]
@@ -73,10 +71,11 @@ def test_epsilon_linkage():
 
 
 def test_conjugate_and_norm():
-    conj, norm = oct_conjugate_norm(JO, 0)
+    p = oct_seq(JO, 0)
+    conj, norm = p.conjugate(), p.norm_sq()
     assert norm == 1805
     assert conj == Octonion((0, -1, -1, -2, -5, -9, -18, -37))
-    _, norm = oct_conjugate_norm(JOL, 1)
+    norm = oct_seq(JOL, 1).norm_sq()
     assert norm == 114134
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from jacobsthal_octonions.errors import DomainError
 from jacobsthal_octonions.sequences import (
-    SCALAR_IDENTITY_IDS,
-    SCALAR_IDENTITY_MIN_INDEX,
+    SCALAR_IDENTITIES,
     SequenceKind,
     THIRD_ORDER_KINDS,
     correction,
@@ -121,9 +120,9 @@ def test_identity_sides_spot_values():
     assert scalar_identity_sides("E8", 1) == (-1, -1)
 
 
-@pytest.mark.parametrize("name", SCALAR_IDENTITY_IDS)
+@pytest.mark.parametrize("name", SCALAR_IDENTITIES)
 def test_identity_sides_agree_over_range(name):
-    for n in range(SCALAR_IDENTITY_MIN_INDEX[name], 200):
+    for n in range(SCALAR_IDENTITIES[name].n_min, 200):
         lhs, rhs = scalar_identity_sides(name, n)
         assert lhs == rhs, f"{name} differs at n={n}: {lhs} != {rhs}"
 
