@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import UnknownVariantError
@@ -28,7 +29,7 @@ from .identities import (
 )
 from .octonion import MULTIPLICATION_TABLE
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
-from .sequences import SequenceKind, seq_value
+from .sequences import SequenceKind, seq_terms
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -54,8 +55,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
-    kind = SequenceKind(args.kind)
-    rows = [(n, str(seq_value(kind, n))) for n in range(args.n_from, args.n_to + 1)]
+    terms = islice(seq_terms(SequenceKind(args.kind)), args.n_from, args.n_to + 1)
+    rows = [(n, value_to_json(x)) for n, x in enumerate(terms, args.n_from)]
     if args.format == "json":
         text = json.dumps([{"n": n, "value": v} for n, v in rows], indent=2) + "\n"
     elif args.format == "csv":
@@ -73,8 +74,9 @@ def _cmd_oct(args: argparse.Namespace) -> int:
     value = oct_seq(kind, args.n)
     agree: Optional[bool] = None
     if args.closed:
-        value = oct_seq_closed(kind, args.n)
-        agree = value == oct_seq(kind, args.n)
+        closed = oct_seq_closed(kind, args.n)
+        agree = closed == value
+        value = closed
     coefficients = value.to_json()
     if args.format == "json":
         payload = {"kind": kind.value, "n": args.n, "coefficients": coefficients}

@@ -27,16 +27,15 @@ from fractions import Fraction
 from typing import Callable, Collection, Optional, Union
 
 from .errors import DomainError, InconsistencyError, UnknownVariantError
-from .octonion import Octonion, ScaledOctonion
+from .octonion import Octonion, ScaledOctonion, _decimal_str
 from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
     epsilon_hat,
-    oct_seq,
     oct_seq_closed,
 )
-from .sequences import SCALAR_IDENTITIES, correction, scalar_identity_sides
+from .sequences import SCALAR_IDENTITIES, _term_lists, correction
 
 __all__ = [
     "IdentityId",
@@ -60,8 +59,9 @@ __all__ = [
 # exact (possibly rational) octonion.
 Value = Union[int, Fraction, Octonion, ScaledOctonion]
 
-# Both sides of one identity variant at index n: (lhs, rhs).
-Sides = Callable[[int], tuple[Value, Value]]
+# Both sides of one identity variant at index n, (lhs, rhs), from the lists
+# j and l of J3 and JL3 terms: sides(j, l, n).
+Sides = Callable[[list, list, int], tuple[Value, Value]]
 
 
 class Variant(Enum):
@@ -102,11 +102,11 @@ def value_to_json(value: Value):
     """Serialize an exact value: integers as decimal strings, octonions as
     8-string arrays, non-integral rationals as {"num": ..., "den": ...}."""
     if isinstance(value, int):
-        return str(value)
+        return _decimal_str(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+            return _decimal_str(value.numerator)
+        return {"num": _decimal_str(value.numerator), "den": _decimal_str(value.denominator)}
     if isinstance(value, Octonion):
         return value.to_json()
     if isinstance(value, ScaledOctonion):
@@ -272,12 +272,9 @@ _JO_NORM_TAIL = {0: (1024, 41), 1: (4, 38), 2: (-1028, 33)}
 _JOL_NORM_TAIL = {0: (-12288, 369), 1: (-48, 342), 2: (12336, 297)}
 
 
-def _jo(n: int) -> Octonion:
-    return oct_seq(_JO, n)
-
-
-def _jol(n: int) -> Octonion:
-    return oct_seq(_JOL, n)
+def _oct(terms: list, n: int) -> Octonion:
+    """JO(n) from the J3 terms, or jO(n) from the JL3 terms."""
+    return Octonion(terms[n:n + 8])
 
 
 def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> Fraction:
@@ -285,58 +282,60 @@ def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> Fractio
     return Fraction(lead + b * 2 ** n + c, 49)
 
 
-def _sides_oct_rec(n: int):
+def _sides_oct_rec(j: list, l: list, n: int):
     # Both sequences obey the recurrence; report the first failing pair,
     # or the JO pair (zero delta) when both hold.
-    for kind in (_JO, _JOL):
-        lhs = oct_seq(kind, n + 2)
-        rhs = oct_seq(kind, n + 1) + oct_seq(kind, n) + oct_seq(kind, n - 1) * 2
+    for terms in (j, l):
+        lhs = _oct(terms, n + 2)
+        rhs = _oct(terms, n + 1) + _oct(terms, n) + _oct(terms, n - 1) * 2
         if lhs != rhs:
             return lhs, rhs
-    lhs = oct_seq(_JO, n + 2)
+    lhs = _oct(j, n + 2)
     return lhs, lhs
 
 
-def _t5_lhs(n: int) -> Octonion:
-    return _jol(n) * _jol(n) + (_jo(n + 3) * _jol(n + 3)) * 3
+def _t5_lhs(j: list, l: list, n: int) -> Octonion:
+    jol = _oct(l, n)
+    return jol * jol + (_oct(j, n + 3) * _oct(l, n + 3)) * 3
 
 
-def _sides_t5_printed(n: int):
+def _sides_t5_printed(j: list, l: list, n: int):
     eps = epsilon_hat(n)
     ae, ea = ALPHA * eps, eps * ALPHA
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49))
-    return _t5_lhs(n), rhs
+    return _t5_lhs(j, l, n), rhs
 
 
-def _sides_t5_corrected(n: int):
+def _sides_t5_corrected(j: list, l: list, n: int):
     # Commutator form: the 25/31 weights replaced by an equal-weight
     # commutator at a higher power of two.
     eps = epsilon_hat(n)
     ae, ea = ALPHA * eps, eps * ALPHA
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
-    return _t5_lhs(n), rhs
+    return _t5_lhs(j, l, n), rhs
 
 
-def _t6_lhs(n: int) -> Octonion:
-    return _jol(n) * _jol(n) - (_jo(n) * _jo(n)) * 9
+def _t6_lhs(j: list, l: list, n: int) -> Octonion:
+    jol, jo = _oct(l, n), _oct(j, n)
+    return jol * jol - (jo * jo) * 9
 
 
-def _sides_t6_printed(n: int):
+def _sides_t6_printed(j: list, l: list, n: int):
     eps = epsilon_hat(n)
     anti = ALPHA * eps + eps * ALPHA
     rhs = ScaledOctonion((_ALPHA_SQ * 2 + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(n), rhs
+    return _t6_lhs(j, l, n), rhs
 
 
-def _sides_t6_corrected(n: int):
+def _sides_t6_corrected(j: list, l: list, n: int):
     # The constant coefficient 2 on the squared-alpha term replaced by the
     # index-dependent 2^(n+1).
     eps = epsilon_hat(n)
     anti = ALPHA * eps + eps * ALPHA
     rhs = ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(n), rhs
+    return _t6_lhs(j, l, n), rhs
 
 
 @dataclass(frozen=True)
@@ -368,61 +367,59 @@ class IdentityDescriptor:
 
 
 # Every identity, one row each, in report order: the scalar rows from
-# ``sequences`` first, then the octonion rows.  Scalar sides look up
-# ``scalar_identity_sides`` at each call, so a wrapper installed on that
-# module name (as the benchmark's tracer does) sees every scalar check.
+# ``sequences`` first, then the octonion rows.
 _IDENTITIES: dict[str, IdentityDescriptor] = {
-    **{name: IdentityDescriptor(row.statement,
-                                lambda n, name=name: scalar_identity_sides(name, n),
-                                n_min=row.n_min)
+    **{name: IdentityDescriptor(row.statement, row.sides, n_min=row.n_min)
        for name, row in SCALAR_IDENTITIES.items()},
     "OCT_REC": IdentityDescriptor(
         "octonion recurrence X(n+2) = X(n+1) + X(n) + 2*X(n-1) for JO and jO",
         _sides_oct_rec, n_min=1),
     "BINET_JO": IdentityDescriptor(
         "JO(n) equals its closed form (2^(n+1)*alpha - eps(n))/7",
-        lambda n: (oct_seq(_JO, n), oct_seq_closed(_JO, n))),
+        lambda j, l, n: (_oct(j, n), oct_seq_closed(_JO, n))),
     "BINET_JOL": IdentityDescriptor(
         "jO(n) equals its closed form (2^(n+3)*alpha + 3*eps(n))/7",
-        lambda n: (oct_seq(_JOL, n), oct_seq_closed(_JOL, n))),
+        lambda j, l, n: (_oct(l, n), oct_seq_closed(_JOL, n))),
     "T1_SUM": IdentityDescriptor(
         "JO(n+2) + JO(n+1) + JO(n) = 2^(n+1)*alpha",
-        lambda n: (_jo(n + 2) + _jo(n + 1) + _jo(n), ALPHA * 2 ** (n + 1))),
+        lambda j, l, n: (_oct(j, n + 2) + _oct(j, n + 1) + _oct(j, n), ALPHA * 2 ** (n + 1))),
     "T1_SHIFT4": IdentityDescriptor(
         "JO(n+2) - 4*JO(n) equals a period-3 octonion row",
-        lambda n: (_jo(n + 2) - _jo(n) * 4, _JO_SHIFT4_ROWS[n % 3])),
+        lambda j, l, n: (_oct(j, n + 2) - _oct(j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
     "T1_NORM": IdentityDescriptor(
         "Nr2(JO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda n: (_jo(n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n))),
+        lambda j, l, n: (_oct(j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n))),
     "T2_SUM": IdentityDescriptor(
         "jO(n+2) + jO(n+1) + jO(n) = 2^(n+3)*alpha",
-        lambda n: (_jol(n + 2) + _jol(n + 1) + _jol(n), ALPHA * 2 ** (n + 3))),
+        lambda j, l, n: (_oct(l, n + 2) + _oct(l, n + 1) + _oct(l, n), ALPHA * 2 ** (n + 3))),
     "T2_SHIFT4": IdentityDescriptor(
         "jO(n+2) - 4*jO(n) equals a period-3 octonion row",
-        lambda n: (_jol(n + 2) - _jol(n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n + 2) - _oct(l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
     "T2_NORM": IdentityDescriptor(
         "Nr2(jO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda n: (_jol(n).norm_sq(),
-                   _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n))),
+        lambda j, l, n: (_oct(l, n).norm_sq(),
+                         _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n))),
     "T3_A": IdentityDescriptor(
         "jO(n+3) - 3*JO(n+3) = 2*jO(n)",
-        lambda n: (_jol(n + 3) - _jo(n + 3) * 3, _jol(n) * 2)),
+        lambda j, l, n: (_oct(l, n + 3) - _oct(j, n + 3) * 3, _oct(l, n) * 2)),
     "T3_B": IdentityDescriptor(
         "jO(n) + jO(n+1) = 3*JO(n+2)",
-        lambda n: (_jol(n) + _jol(n + 1), _jo(n + 2) * 3)),
+        lambda j, l, n: (_oct(l, n) + _oct(l, n + 1), _oct(j, n + 2) * 3)),
     "T3_C": IdentityDescriptor(
         "jO(n) - JO(n+2) equals a period-3 octonion row",
-        lambda n: (_jol(n) - _jo(n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n) - _oct(j, n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
     "T3_D": IdentityDescriptor(
         "jO(n) - 4*JO(n) = eps(n)",
-        lambda n: (_jol(n) - _jo(n) * 4, EPSILON_HAT_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n) - _oct(j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
     "T4_PROD_JOJ": IdentityDescriptor(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda n: (_jol(n) * _jo(n), closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
+        lambda j, l, n: (_oct(l, n) * _oct(j, n),
+                         closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
         residue=0),
     "T4_PROD_JJO": IdentityDescriptor(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda n: (_jo(n) * _jol(n), closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
+        lambda j, l, n: (_oct(j, n) * _oct(l, n),
+                         closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
         residue=0),
     "T5_QUAD": IdentityDescriptor(
         "jO(n)^2 + 3*JO(n+3)*jO(n+3) against the printed right side",
@@ -443,25 +440,19 @@ REGISTRY: dict[IdentityId, IdentityDescriptor] = {
 # ---------------------------------------------------------------------------
 # verification
 
-def _descriptor(identity: IdentityId, variant: Variant) -> IdentityDescriptor:
-    """The registry row of ``identity``, which must have ``variant``."""
+def _descriptor(identity: IdentityId, variant: Variant) -> tuple[IdentityDescriptor, Sides]:
+    """The registry row of ``identity``, which must have ``variant``, and
+    the sides of that variant."""
     descriptor = REGISTRY[identity]
     if variant not in descriptor.variants:
         raise UnknownVariantError(f"{identity.name} has no corrected variant")
-    return descriptor
-
-
-def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport:
-    """Check one identity variant at index n with exact arithmetic."""
-    descriptor = _descriptor(identity, variant)
-    if not descriptor.in_domain(n):
-        if descriptor.residue is not None and (n < 0 or n % 3 != descriptor.residue):
-            raise DomainError(
-                f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
-            )
-        raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
     sides = descriptor.corrected if variant is Variant.CORRECTED else descriptor.printed
-    lhs, rhs = sides(n)
+    return descriptor, sides
+
+
+def _check(identity: IdentityId, variant: Variant, sides: Sides,
+           j: list, l: list, n: int) -> VerificationReport:
+    lhs, rhs = sides(j, l, n)
     delta = _sub_values(lhs, rhs)
     return VerificationReport(
         identity=identity,
@@ -474,13 +465,27 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
     )
 
 
+def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport:
+    """Check one identity variant at index n with exact arithmetic."""
+    descriptor, sides = _descriptor(identity, variant)
+    if not descriptor.in_domain(n):
+        if descriptor.residue is not None and (n < 0 or n % 3 != descriptor.residue):
+            raise DomainError(
+                f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
+            )
+        raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
+    return _check(identity, variant, sides, *_term_lists(n, n), n)
+
+
 def verify_range(identity: IdentityId, variant: Variant,
                  n_from: int, n_to: int) -> RangeReport:
     """Apply ``verify`` at every n in [n_from, n_to], collecting skips for
-    out-of-domain indices and reports for exact failures."""
+    out-of-domain indices and reports for exact failures.  The terms are
+    generated once for the whole range."""
     if n_from < 0 or n_to < n_from:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    descriptor = _descriptor(identity, variant)
+    descriptor, sides = _descriptor(identity, variant)
+    j, l = _term_lists(n_from, n_to)
     skipped: list[int] = []
     failures: list[VerificationReport] = []
     checked = 0
@@ -488,7 +493,7 @@ def verify_range(identity: IdentityId, variant: Variant,
         if not descriptor.in_domain(n):
             skipped.append(n)
             continue
-        report = verify(identity, variant, n)
+        report = _check(identity, variant, sides, j, l, n)
         checked += 1
         if not report.passed:
             failures.append(report)

@@ -100,6 +100,26 @@ def _check_table() -> None:
 _check_table()
 
 
+def _decimal_str(x: int) -> str:
+    """``str(x)`` for an int of any size.
+
+    CPython refuses ``str()`` on an int with more digits than its limit
+    (``sys.get_int_max_str_digits()``, 4,300 by default).  Such an x is split
+    by a power of ten into two halves, each written the same way, so the
+    process-wide limit is never changed.  Values within the limit cost one
+    ``str()`` call.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _decimal_str(-x)
+    k = x.bit_length() * 3 // 20  # about half of x's decimal digits
+    high, low = divmod(x, 10 ** k)
+    return _decimal_str(high) + _decimal_str(low).zfill(k)
+
+
 def basis_product(i: int, j: int) -> SignedBasis:
     """Return e_i * e_j as a signed basis unit, for i, j in 0..7."""
     if not (0 <= i <= 7 and 0 <= j <= 7):
@@ -228,7 +248,7 @@ class Octonion:
 
     def to_json(self) -> list[str]:
         """Wire form: a list of 8 decimal strings, index s = basis e_s."""
-        return [str(a) for a in self._c]
+        return [_decimal_str(a) for a in self._c]
 
 
 class ScaledOctonion:
@@ -354,4 +374,4 @@ class ScaledOctonion:
 
     def to_json(self) -> dict:
         """Wire form: {"num": [...8 decimal strings...], "den": "7"}."""
-        return {"num": self._num.to_json(), "den": str(self._den)}
+        return {"num": self._num.to_json(), "den": _decimal_str(self._den)}

@@ -17,10 +17,11 @@ jO(n) - 4*JO(n) = eps(n) holds for every n.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 
 from .errors import DomainError, InconsistencyError
 from .octonion import Octonion
-from .sequences import SequenceKind, correction, seq_value
+from .sequences import SequenceKind, correction, seq_terms
 
 __all__ = [
     "OctonionSequenceKind",
@@ -58,11 +59,11 @@ def epsilon_hat(n: int) -> Octonion:
 
 
 def oct_seq(kind: OctonionSequenceKind, n: int) -> Octonion:
-    """The n-th octonion of ``kind`` from recurrence-generated scalars."""
+    """The n-th octonion of ``kind`` from recurrence-generated scalars: the
+    eight consecutive terms from index n of one walk."""
     if n < 0:
         raise DomainError(f"sequence index must be >= 0, got {n}")
-    scalar = _SCALAR_FOR[kind]
-    return Octonion(tuple(seq_value(scalar, n + s) for s in range(8)))
+    return Octonion(islice(seq_terms(_SCALAR_FOR[kind]), n, n + 8))
 
 
 def _exact_div7(p: Octonion) -> Octonion:

@@ -19,13 +19,17 @@ backwards yields non-integer values for the Lucas-type sequence, so the
 domain is n >= 0 only.  ``SCALAR_IDENTITIES`` holds one row per scalar
 identity, and ``scalar_identity_sides`` evaluates both sides of one; the
 identities that reference index n-3 therefore require n >= 3.
+
+Every function here is pure.  ``seq_terms`` walks a recurrence holding only
+its last two or three terms, and the others are built on that walk, so no
+term outlives the call that computed it.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
-from typing import Callable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, InconsistencyError
 
@@ -34,6 +38,7 @@ __all__ = [
     "THIRD_ORDER_KINDS",
     "CORRECTION_TABLE",
     "correction",
+    "seq_terms",
     "seq_value",
     "seq_closed",
     "partial_sum",
@@ -68,30 +73,33 @@ _SEEDS = {
 # forms (the cube-roots-of-unity contribution) into an integer of period 3.
 CORRECTION_TABLE = (2, -3, 1)
 
-# Monotonically growing per-kind caches; the lock keeps concurrent callers
-# on pure-function semantics.
-_cache: dict[SequenceKind, list[int]] = {k: list(s) for k, s in _SEEDS.items()}
-_cache_lock = threading.Lock()
-
 
 def correction(n: int) -> int:
     """The period-3 correction term V(n) in {2, -3, 1}."""
     return CORRECTION_TABLE[n % 3]
 
 
+def seq_terms(kind: SequenceKind) -> Iterator[int]:
+    """Terms 0, 1, 2, ... of ``kind``, without end, by its defining
+    recurrence.  Only the last two or three terms are held."""
+    # One loop per order: a shared loop over a tuple window is about three
+    # times slower per step.
+    if kind in THIRD_ORDER_KINDS:
+        a, b, c = _SEEDS[kind]
+        while True:
+            yield a
+            a, b, c = b, c, c + b + 2 * a
+    a, b = _SEEDS[kind]
+    while True:
+        yield a
+        a, b = b, b + 2 * a
+
+
 def seq_value(kind: SequenceKind, n: int) -> int:
     """The n-th term of ``kind``, computed by its defining recurrence."""
     if n < 0:
         raise DomainError(f"sequence index must be >= 0, got {n}")
-    with _cache_lock:
-        values = _cache[kind]
-        if kind in THIRD_ORDER_KINDS:
-            while len(values) <= n:
-                values.append(values[-1] + values[-2] + 2 * values[-3])
-        else:
-            while len(values) <= n:
-                values.append(values[-1] + 2 * values[-2])
-        return values[n]
+    return next(islice(seq_terms(kind), n, None))
 
 
 def seq_closed(kind: SequenceKind, n: int) -> int:
@@ -120,7 +128,7 @@ def partial_sum(kind: SequenceKind, n: int) -> int:
         raise ValueError(f"partial sums are defined for the third-order kinds, not {kind}")
     if n < 0:
         raise DomainError(f"sequence index must be >= 0, got {n}")
-    return sum(seq_value(kind, k) for k in range(n + 1))
+    return sum(islice(seq_terms(kind), n + 1))
 
 
 def partial_sum_closed(kind: SequenceKind, n: int) -> int:
@@ -136,21 +144,28 @@ def partial_sum_closed(kind: SequenceKind, n: int) -> int:
     return nxt + 1 if n % 3 == 0 else nxt - 2
 
 
-def _j3(n: int) -> int:
-    return seq_value(SequenceKind.THIRD_ORDER_JACOBSTHAL, n)
+def _term_lists(n_from: int, n_to: int) -> tuple[list, list]:
+    """The J3 and JL3 terms that identity sides read for n in [n_from, n_to],
+    as two lists indexed by term index.
 
-
-def _jl3(n: int) -> int:
-    return seq_value(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n)
+    No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
+    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The entries below
+    n_from - 3 are None, so a far-off range holds O(n) bits per term it
+    reads rather than every term from 0.
+    """
+    low = max(n_from - 3, 0)
+    return tuple([None] * low + list(islice(seq_terms(kind), low, n_to + 11))
+                  for kind in THIRD_ORDER_KINDS)
 
 
 class ScalarIdentity(NamedTuple):
     """One scalar identity: its statement, both sides as exact integers
-    (the left side always from recurrence-generated values), and the least
-    index at which every term it references exists."""
+    from the J3 and JL3 term lists and the index, ``sides(j, l, n)`` (the
+    left side always from recurrence-generated values), and the least index
+    at which every term it references exists."""
 
     statement: str
-    sides: Callable[[int], tuple[int, int]]
+    sides: Callable[[list, list, int], tuple[int, int]]
     n_min: int = 0
 
 
@@ -159,39 +174,39 @@ class ScalarIdentity(NamedTuple):
 SCALAR_IDENTITIES = {
     "E4": ScalarIdentity(
         "3*J3(n) + JL3(n) = 2^(n+1)",
-        lambda n: (3 * _j3(n) + _jl3(n), 2 ** (n + 1))),
+        lambda j, l, n: (3 * j[n] + l[n], 2 ** (n + 1))),
     "E5": ScalarIdentity(
         "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
-        lambda n: (_jl3(n) - 3 * _j3(n), 2 * _jl3(n - 3)), n_min=3),
+        lambda j, l, n: (l[n] - 3 * j[n], 2 * l[n - 3]), n_min=3),
     "EC5": ScalarIdentity(
         "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
-        lambda n: (_j3(n + 2) - 4 * _j3(n), -2 if n % 3 == 1 else 1)),
+        lambda j, l, n: (j[n + 2] - 4 * j[n], -2 if n % 3 == 1 else 1)),
     "E6": ScalarIdentity(
         "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
-        lambda n: (_jl3(n) - 4 * _j3(n), correction(n))),
+        lambda j, l, n: (l[n] - 4 * j[n], correction(n))),
     "E7": ScalarIdentity(
         "JL3(n+1) + JL3(n) = 3*J3(n+2)",
-        lambda n: (_jl3(n + 1) + _jl3(n), 3 * _j3(n + 2))),
+        lambda j, l, n: (l[n + 1] + l[n], 3 * j[n + 2])),
     "E8": ScalarIdentity(
         "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
-        lambda n: (_jl3(n) - _j3(n + 2), (1, -1, 0)[n % 3])),
+        lambda j, l, n: (l[n] - j[n + 2], (1, -1, 0)[n % 3])),
     "E9": ScalarIdentity(
         "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
-        lambda n: (_jl3(n - 3) ** 2 + 3 * _j3(n) * _jl3(n), 4 ** n), n_min=3),
+        lambda j, l, n: (l[n - 3] ** 2 + 3 * j[n] * l[n], 4 ** n), n_min=3),
     "E10": ScalarIdentity(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL, n),
-                   partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
+        lambda j, l, n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL, n),
+                         partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
     "E11": ScalarIdentity(
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
-        lambda n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n),
-                   partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
+        lambda j, l, n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n),
+                         partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
     "E12": ScalarIdentity(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
-        lambda n: (_jl3(n) ** 2 - 9 * _j3(n) ** 2, 2 ** (n + 2) * _jl3(n - 3)), n_min=3),
+        lambda j, l, n: (l[n] ** 2 - 9 * j[n] ** 2, 2 ** (n + 2) * l[n - 3]), n_min=3),
     "JSUM": ScalarIdentity(
         "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
-        lambda n: (_j3(n + 2) + _j3(n + 1) + _j3(n), 2 ** (n + 1))),
+        lambda j, l, n: (j[n + 2] + j[n + 1] + j[n], 2 ** (n + 1))),
 }
 
 
@@ -209,4 +224,4 @@ def scalar_identity_sides(identity, n: int) -> tuple[int, int]:
         raise ValueError(f"unknown scalar identity {name!r}") from None
     if n < row.n_min:
         raise DomainError(f"identity {name} is defined for n >= {row.n_min}, got {n}")
-    return row.sides(n)
+    return row.sides(*_term_lists(n, n), n)

@@ -294,3 +294,15 @@ def test_descriptor_lookup():
     assert descriptor.residue == 0
     assert not descriptor.has_corrected
     assert REGISTRY[IdentityId.OCT_REC].n_min == 1
+
+
+def test_range_reports_match_single_checks():
+    # verify_range reads one term list per range, with nothing held below
+    # n_from - 3; every report must equal the one verify builds on its own.
+    for identity, descriptor in REGISTRY.items():
+        for variant in descriptor.variants:
+            report = verify_range(identity, variant, 40, 45)
+            alone = [verify(identity, variant, n) for n in range(40, 46)
+                     if descriptor.in_domain(n)]
+            assert report.total_checked == len(alone)
+            assert report.failures == tuple(r for r in alone if not r.passed)

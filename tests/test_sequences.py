@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import jacobsthal_octonions
 from jacobsthal_octonions.errors import DomainError
 from jacobsthal_octonions.sequences import (
     SCALAR_IDENTITIES,
@@ -12,6 +18,7 @@ from jacobsthal_octonions.sequences import (
     partial_sum_closed,
     scalar_identity_sides,
     seq_closed,
+    seq_terms,
     seq_value,
 )
 
@@ -149,3 +156,29 @@ def test_concurrent_generation_is_consistent():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda n: seq_value(J3, n), range(400)))
     assert results == expected
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_term_walk_matches_single_terms(kind):
+    assert list(islice(seq_terms(kind), 201)) == [seq_value(kind, n) for n in range(201)]
+
+
+@pytest.mark.parametrize("n", [14300, 30000])
+def test_recurrence_matches_closed_form_at_large_n(n):
+    for kind in THIRD_ORDER_KINDS:
+        assert seq_value(kind, n) == seq_closed(kind, n)
+
+
+def test_cold_term_keeps_linear_memory():
+    # A fresh process, so that no other test's values are counted.  Holding
+    # every term up to 20,000 would take about 26 MB.
+    code = ("import tracemalloc\n"
+            "from jacobsthal_octonions.sequences import SequenceKind, seq_value\n"
+            "tracemalloc.start()\n"
+            "seq_value(SequenceKind.THIRD_ORDER_JACOBSTHAL, 20000)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = Path(jacobsthal_octonions.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert int(result.stdout) < 1_000_000
