@@ -4,9 +4,11 @@ Subcommands: ``seq`` (scalar sequence tables), ``oct`` (one octonion of a
 sequence, optionally cross-checked against its closed form), ``mul-table``
 (the signed basis multiplication table) and ``verify`` (identity range
 reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
-2 usage error.  Data goes to stdout (or ``--out``), diagnostics to stderr.
-All numbers are emitted as decimal strings: coefficients outgrow 64-bit
-integers quickly, and strings round-trip losslessly through JSON and CSV.
+2 usage error, 3 any other error (one ``j3o: error:`` line on stderr, no
+traceback), so a crash never reads as a failed identity.  Data goes to
+stdout (or ``--out``), diagnostics to stderr.  All numbers are emitted as
+decimal strings: coefficients outgrow 64-bit integers quickly, and strings
+round-trip losslessly through JSON and CSV.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .sequences import SequenceKind, seq_terms
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 class UsageError(Exception):
@@ -247,6 +250,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"j3o: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"j3o: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -83,21 +83,6 @@ class ProductOrder(Enum):
 # ---------------------------------------------------------------------------
 # value helpers
 
-def _sub_values(lhs: Value, rhs: Value) -> Value:
-    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
-        return Fraction(lhs) - Fraction(rhs)
-    if isinstance(lhs, (Octonion, ScaledOctonion)) and isinstance(rhs, (Octonion, ScaledOctonion)):
-        left = lhs if isinstance(lhs, ScaledOctonion) else ScaledOctonion(lhs)
-        return left - rhs
-    raise TypeError(f"cannot subtract {type(rhs).__name__} from {type(lhs).__name__}")
-
-
-def _is_zero(value: Value) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    return value.is_zero()
-
-
 def value_to_json(value: Value):
     """Serialize an exact value: integers as decimal strings, octonions as
     8-string arrays, non-integral rationals as {"num": ..., "den": ...}."""
@@ -453,15 +438,14 @@ def _descriptor(identity: IdentityId, variant: Variant) -> tuple[IdentityDescrip
 def _check(identity: IdentityId, variant: Variant, sides: Sides,
            j: list, l: list, n: int) -> VerificationReport:
     lhs, rhs = sides(j, l, n)
-    delta = _sub_values(lhs, rhs)
     return VerificationReport(
         identity=identity,
         variant=variant,
         n=n,
-        passed=_is_zero(delta),
+        passed=lhs == rhs,
         lhs=lhs,
         rhs=rhs,
-        delta=delta,
+        delta=lhs - rhs,
     )
 
 

@@ -2,9 +2,12 @@
 
 An octonion is stored as eight integer coefficients over the basis units
 e0..e7, where e0 = 1 is the real unit.  Products of basis units come from a
-fixed signed 8x8 table and the full product is the bilinear extension of
-that table: the algebra is non-commutative and non-associative, but
-alternative, and the Euclidean norm form is multiplicative.
+signed 8x8 table built from the seven quaternionic triples, and the full
+product is the bilinear extension of that table: the algebra is
+non-commutative and non-associative, but alternative, and the Euclidean norm
+form is multiplicative.  The table's laws (e0 is the unit, e_i^2 = -1,
+distinct imaginary units anticommute, each triple is cyclic) hold by
+construction and are asserted by the test suite, not checked at import.
 
 Exactness is the point of this module.  Coefficients are Python ints, so
 nothing ever rounds or overflows; rational-valued octonions (needed by
@@ -16,6 +19,7 @@ here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -39,65 +43,36 @@ class SignedBasis(NamedTuple):
     index: int
 
 
-# Products e_i * e_j for the imaginary units, rows i = 1..7 by columns
-# j = 1..7.  Each entry is (sign, index); index 0 is the real unit.
-_IMAGINARY_TABLE = (
-    ((-1, 0), (+1, 3), (-1, 2), (+1, 5), (-1, 4), (-1, 7), (+1, 6)),
-    ((-1, 3), (-1, 0), (+1, 1), (+1, 6), (+1, 7), (-1, 4), (-1, 5)),
-    ((+1, 2), (-1, 1), (-1, 0), (+1, 7), (-1, 6), (+1, 5), (-1, 4)),
-    ((-1, 5), (-1, 6), (-1, 7), (-1, 0), (+1, 1), (+1, 2), (+1, 3)),
-    ((+1, 4), (-1, 7), (+1, 6), (-1, 1), (-1, 0), (-1, 3), (+1, 2)),
-    ((+1, 7), (+1, 4), (-1, 5), (-1, 2), (+1, 3), (-1, 0), (-1, 1)),
-    ((-1, 6), (+1, 5), (+1, 4), (-1, 3), (-1, 2), (+1, 1), (-1, 0)),
-)
-
-MULTIPLICATION_TABLE: tuple[tuple[SignedBasis, ...], ...] = tuple(
-    tuple(
-        SignedBasis(+1, j) if i == 0
-        else SignedBasis(+1, i) if j == 0
-        else SignedBasis(*_IMAGINARY_TABLE[i - 1][j - 1])
-        for j in range(8)
-    )
-    for i in range(8)
-)
-
-# The seven cyclically oriented quaternionic triples (i, j, k) implied by
-# the table: e_i e_j = e_k, e_j e_k = e_i, e_k e_i = e_j.
+# The seven cyclically oriented quaternionic triples (i, j, k): e_i e_j = e_k,
+# e_j e_k = e_i, e_k e_i = e_j, and each reversed product is the negative.
+# With e0 = 1 and e_i^2 = -1 they fix the whole table (the Fano-plane
+# construction in J. Baez, "The Octonions", Bull. AMS 39 (2002)).
 _QUATERNION_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7),
                        (2, 5, 7), (3, 6, 5), (1, 7, 6))
 
 
-def _check_table() -> None:
-    """Audit the transcribed multiplication table at import time.
-
-    Transcribing the 8x8 signed table is the single highest-risk step in
-    this package, so its structural laws are machine-checked here rather
-    than trusted: unit row/column, squares of imaginary units,
-    anti-commutativity, and the seven quaternionic triples.
-    """
+def _build_table() -> tuple[tuple[SignedBasis, ...], ...]:
+    products = {(i, i): SignedBasis(-1, 0) for i in range(1, 8)}
     for s in range(8):
-        if MULTIPLICATION_TABLE[0][s] != (1, s) or MULTIPLICATION_TABLE[s][0] != (1, s):
-            raise InconsistencyError(f"e0 must act as the unit, broken at index {s}")
-    for i in range(1, 8):
-        if MULTIPLICATION_TABLE[i][i] != (-1, 0):
-            raise InconsistencyError(f"e{i}^2 must be -1")
-        for j in range(1, 8):
-            if i == j:
-                continue
-            sij, kij = MULTIPLICATION_TABLE[i][j]
-            sji, kji = MULTIPLICATION_TABLE[j][i]
-            if kij == 0 or kij != kji or sij != -sji:
-                raise InconsistencyError(
-                    f"e{i}*e{j} and e{j}*e{i} must be opposite signed units"
-                )
-    for (i, j, k) in _QUATERNION_TRIPLES:
-        if (MULTIPLICATION_TABLE[i][j] != (1, k)
-                or MULTIPLICATION_TABLE[j][k] != (1, i)
-                or MULTIPLICATION_TABLE[k][i] != (1, j)):
-            raise InconsistencyError(f"triple ({i},{j},{k}) is not cyclic in the table")
+        products[0, s] = products[s, 0] = SignedBasis(+1, s)
+    for triple in _QUATERNION_TRIPLES:
+        for r in range(3):
+            i, j, k = triple[r:] + triple[:r]
+            products[i, j] = SignedBasis(+1, k)
+            products[j, i] = SignedBasis(-1, k)
+    return tuple(tuple(products[i, j] for j in range(8)) for i in range(8))
 
 
-_check_table()
+MULTIPLICATION_TABLE = _build_table()
+
+# For each e_k, the pairs (i, j) with e_i e_j = +e_k and those with
+# e_i e_j = -e_k: coefficient k of a product is the first sum less the second.
+_PRODUCT_TERMS = tuple(
+    tuple(tuple((i, j) for i in range(8) for j in range(8)
+                if MULTIPLICATION_TABLE[i][j] == (sign, k))
+          for sign in (+1, -1))
+    for k in range(8)
+)
 
 
 def _decimal_str(x: int) -> str:
@@ -118,6 +93,25 @@ def _decimal_str(x: int) -> str:
     k = x.bit_length() * 3 // 20  # about half of x's decimal digits
     high, low = divmod(x, 10 ** k)
     return _decimal_str(high) + _decimal_str(low).zfill(k)
+
+
+def _decimal_int(s: str) -> int:
+    """``int(s)`` for a decimal string of any length, the inverse of
+    ``_decimal_str``.
+
+    Only a string that ``int()`` refuses and that is an optional ``-``
+    followed by ASCII digits is split into two halves, each read the same
+    way; anything else raises ``ValueError`` as ``int()`` does.
+    """
+    try:
+        return int(s)
+    except ValueError:
+        if not re.fullmatch(r"-?[0-9]+", s):
+            raise
+    if s[0] == "-":
+        return -_decimal_int(s[1:])
+    k = len(s) // 2
+    return _decimal_int(s[:k]) * 10 ** (len(s) - k) + _decimal_int(s[k:])
 
 
 def basis_product(i: int, j: int) -> SignedBasis:
@@ -166,7 +160,7 @@ class Octonion:
     @classmethod
     def from_json(cls, values: Sequence[str]) -> "Octonion":
         """Parse the wire form: a list of 8 decimal strings."""
-        return cls(tuple(int(v) for v in values))
+        return cls(tuple(_decimal_int(v) for v in values))
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -191,7 +185,7 @@ class Octonion:
         return hash(self._c)
 
     def __repr__(self) -> str:
-        return f"Octonion({self._c!r})"
+        return f"Octonion(({', '.join(map(_decimal_str, self._c))}))"
 
     def __add__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
@@ -209,27 +203,15 @@ class Octonion:
     def __mul__(self, other: Union["Octonion", int]):
         if isinstance(other, Octonion):
             a, b = self._c, other._c
-            out = [0] * 8
-            for i in range(8):
-                ai = a[i]
-                if not ai:
-                    continue
-                row = MULTIPLICATION_TABLE[i]
-                for j in range(8):
-                    bj = b[j]
-                    if not bj:
-                        continue
-                    sign, k = row[j]
-                    out[k] += sign * ai * bj
-            return Octonion(out)
+            return Octonion(sum([a[i] * b[j] for i, j in plus])
+                            - sum([a[i] * b[j] for i, j in minus])
+                            for plus, minus in _PRODUCT_TERMS)
         if isinstance(other, int):
             return Octonion(a * other for a in self._c)
         return NotImplemented
 
-    def __rmul__(self, other: int):
-        if isinstance(other, int):
-            return Octonion(other * a for a in self._c)
-        return NotImplemented
+    # Only an int reaches the reflected product, and scaling commutes.
+    __rmul__ = __mul__
 
     def conjugate(self) -> "Octonion":
         """Real part kept, imaginary coefficients negated."""
@@ -277,7 +259,7 @@ class ScaledOctonion:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScaledOctonion":
-        return cls(Octonion.from_json(obj["num"]), int(obj["den"]))
+        return cls(Octonion.from_json(obj["num"]), _decimal_int(obj["den"]))
 
     @property
     def numerator(self) -> Octonion:
@@ -310,7 +292,7 @@ class ScaledOctonion:
         return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"ScaledOctonion({self._num!r}, {self._den})"
+        return f"ScaledOctonion({self._num!r}, {_decimal_str(self._den)})"
 
     def __add__(self, other):
         rhs = self._coerce(other)

@@ -1,9 +1,11 @@
-"""Exact decimal output past CPython's int-to-str digit limit.
+"""Exact decimal output and input past CPython's int-to-str digit limit.
 
 CPython refuses ``str()`` on ints of more than ``sys.get_int_max_str_digits()``
-digits (4,300 by default).  ``_decimal_str`` must give the digits ``str()``
-gives with the limit lifted, and every CLI output must do the same.  Each test
-sets the limit it runs under and restores the interpreter's own afterwards.
+digits (4,300 by default), and ``int()`` on strings of as many.
+``_decimal_str`` must give the digits ``str()`` gives with the limit lifted,
+and every CLI output and ``repr`` must do the same; ``from_json`` must read
+back what ``to_json`` writes.  Each test sets the limit it runs under and
+restores the interpreter's own afterwards.
 """
 
 import random
@@ -13,7 +15,8 @@ from contextlib import contextmanager
 import pytest
 
 from jacobsthal_octonions.cli import main
-from jacobsthal_octonions.octonion import _decimal_str
+from jacobsthal_octonions.octonion import Octonion, ScaledOctonion, _decimal_int, _decimal_str
+from jacobsthal_octonions.octonion_sequences import OctonionSequenceKind, oct_seq
 from jacobsthal_octonions.sequences import SequenceKind, seq_closed
 
 pytestmark = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -51,6 +54,59 @@ def test_decimal_str_matches_str(limit):
         expected = [str(x) for x in values]
     with digit_limit(limit):
         assert [_decimal_str(x) for x in values] == expected
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_decimal_int_inverts_decimal_str(limit):
+    values = _values()
+    with digit_limit(limit):
+        assert [_decimal_int(_decimal_str(x)) for x in values] == values
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 3000 + " " + "1" * 3000,
+    "-" + "1" * 6000 + "\n",
+    "+" + "1" * 6000,
+    "--" + "1" * 6000,
+    "1" * 3000 + "\u0661" * 3000,  # Arabic-Indic digits
+])
+def test_decimal_int_refuses_what_it_cannot_split(text):
+    # Past the limit only an optional "-" and ASCII digits are split.
+    with digit_limit(4300), pytest.raises(ValueError):
+        _decimal_int(text)
+
+
+def test_json_round_trip_past_the_digit_limit():
+    jo = oct_seq(OctonionSequenceKind.JACOBSTHAL, 14300)
+    rng = random.Random(5000)
+    big = Octonion(tuple(rng.randint(-10 ** 5000, 10 ** 5000) for _ in range(8)))
+    scaled = ScaledOctonion(big, 10 ** 5000 + 1)
+    assert max(len(_decimal_str(abs(x))) for x in big) == 5000
+    with digit_limit(4300):
+        assert Octonion.from_json(jo.to_json()) == jo
+        assert ScaledOctonion.from_json(scaled.to_json()) == scaled
+
+
+def test_repr_below_the_limit_is_unchanged():
+    p = Octonion((0, 1, -1, 2, -5, 9, -18, 37))
+    assert repr(p) == "Octonion((0, 1, -1, 2, -5, 9, -18, 37))"
+    assert repr(ScaledOctonion(p, 7)) == \
+        "ScaledOctonion(Octonion((0, 1, -1, 2, -5, 9, -18, 37)), 7)"
+    with digit_limit(4300):
+        for x in (p, oct_seq(OctonionSequenceKind.JACOBSTHAL, 14000)):
+            assert repr(x) == f"Octonion({x.coefficients!r})"
+            assert repr(ScaledOctonion(x, 7 ** 30)) == \
+                f"ScaledOctonion({x!r}, {7 ** 30})"
+
+
+def test_repr_past_the_limit_holds_every_digit():
+    jo = oct_seq(OctonionSequenceKind.JACOBSTHAL, 14300)
+    scaled = ScaledOctonion(jo, 10 ** 5000 + 1)
+    with digit_limit(0):
+        expected = (f"Octonion({jo.coefficients!r})",
+                    f"ScaledOctonion(Octonion({jo.coefficients!r}), {10 ** 5000 + 1})")
+    with digit_limit(4300):
+        assert (repr(jo), repr(scaled)) == expected
 
 
 def _run(capsys, argv, limit):

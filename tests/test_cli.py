@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from jacobsthal_octonions import cli
 from jacobsthal_octonions.cli import main
+from jacobsthal_octonions.errors import InconsistencyError
 from jacobsthal_octonions.octonion import basis_product
 
 
@@ -204,3 +210,32 @@ def test_out_writes_same_bytes_as_stdout(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+# --- errors other than usage ----------------------------------------------------
+
+
+def test_missing_out_directory_exits_3_without_traceback(tmp_path):
+    # A fresh interpreter, so that whatever reaches stderr is what a user sees.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    target = tmp_path / "no" / "such" / "dir" / "x.txt"
+    result = subprocess.run(
+        [sys.executable, "-m", "jacobsthal_octonions", "seq", "--kind", "j3", "--to", "3",
+         "--out", str(target)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert result.returncode == cli.EXIT_ERROR == 3
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("j3o: error: FileNotFoundError: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    def broken(kind, n):
+        raise InconsistencyError("closed form left a remainder")
+
+    monkeypatch.setattr(cli, "oct_seq_closed", broken)
+    code, out, err = run(capsys, "oct", "--kind", "JO", "--n", "5", "--closed")
+    assert (code, out) == (3, "")
+    assert err == "j3o: error: InconsistencyError: closed form left a remainder\n"

@@ -73,6 +73,46 @@ def test_quaternionic_triples_are_cyclic():
         assert E[k] * E[i] == E[j]
 
 
+# --- the product against its basis expansion -----------------------------
+
+
+def reference_product(p, q):
+    """The product as a double loop over the basis expansion: the sum of
+    a_i * b_j * (e_i * e_j), each basis product read from the table."""
+    a, b = p.coefficients, q.coefficients
+    out = [0] * 8
+    for i in range(8):
+        ai = a[i]
+        if not ai:
+            continue
+        row = MULTIPLICATION_TABLE[i]
+        for j in range(8):
+            bj = b[j]
+            if not bj:
+                continue
+            sign, k = row[j]
+            out[k] += sign * ai * bj
+    return Octonion(out)
+
+
+def sparse_octonion(rng, bits):
+    """Coefficients of up to ``bits`` bits, of either sign, about a quarter
+    of them zero."""
+    return Octonion(tuple(0 if rng.random() < 0.25 else rng.randint(-2 ** bits, 2 ** bits)
+                          for _ in range(8)))
+
+
+@pytest.mark.parametrize("bits, pairs", [(64, 100), (1024, 40), (10240, 8)])
+def test_product_matches_basis_expansion(bits, pairs):
+    rng = random.Random(bits)
+    for _ in range(pairs):
+        p, q = sparse_octonion(rng, bits), sparse_octonion(rng, bits)
+        for x, y in ((p, q), (q, p), (p, p), (p, -q)):
+            assert x * y == reference_product(x, y)
+    zero = Octonion.zero()
+    assert p * zero == zero * p == reference_product(p, zero) == zero
+
+
 # --- construction and basic arithmetic -----------------------------------
 
 
@@ -112,6 +152,11 @@ def test_scalar_multiplication():
     assert p * 3 == Octonion(tuple(3 * x for x in p))
     jol0 = oct_seq(OctonionSequenceKind.JACOBSTHAL_LUCAS, 0)
     assert 2 * jol0 == Octonion((4, 2, 10, 20, 34, 74, 148, 290))
+    assert -3 * p == p * -3
+    with pytest.raises(TypeError):
+        2.5 * p
+    with pytest.raises(TypeError):
+        p * 2.5
 
 
 def test_unit_law():
