@@ -32,7 +32,6 @@ from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
-    epsilon_hat,
     oct_seq_closed,
 )
 from .sequences import SCALAR_IDENTITIES, _term_lists, correction
@@ -233,6 +232,10 @@ _JO = OctonionSequenceKind.JACOBSTHAL
 _JOL = OctonionSequenceKind.JACOBSTHAL_LUCAS
 
 _ALPHA_SQ = ALPHA * ALPHA
+# alpha*eps(n) and eps(n)*alpha for the T5/T6 right sides; row r applies
+# when n = r (mod 3).
+_ALPHA_EPS_ROWS = tuple(ALPHA * eps for eps in EPSILON_HAT_ROWS)
+_EPS_ALPHA_ROWS = tuple(eps * ALPHA for eps in EPSILON_HAT_ROWS)
 
 # Period-3 right-hand octonion rows for the shift identities; row r applies
 # when n = r (mod 3).
@@ -285,8 +288,7 @@ def _t5_lhs(j: list, l: list, n: int) -> Octonion:
 
 
 def _sides_t5_printed(j: list, l: list, n: int):
-    eps = epsilon_hat(n)
-    ae, ea = ALPHA * eps, eps * ALPHA
+    ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49))
     return _t5_lhs(j, l, n), rhs
@@ -295,8 +297,7 @@ def _sides_t5_printed(j: list, l: list, n: int):
 def _sides_t5_corrected(j: list, l: list, n: int):
     # Commutator form: the 25/31 weights replaced by an equal-weight
     # commutator at a higher power of two.
-    eps = epsilon_hat(n)
-    ae, ea = ALPHA * eps, eps * ALPHA
+    ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
     return _t5_lhs(j, l, n), rhs
@@ -308,8 +309,7 @@ def _t6_lhs(j: list, l: list, n: int) -> Octonion:
 
 
 def _sides_t6_printed(j: list, l: list, n: int):
-    eps = epsilon_hat(n)
-    anti = ALPHA * eps + eps * ALPHA
+    anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
     rhs = ScaledOctonion((_ALPHA_SQ * 2 + anti * 3) * 2 ** (n + 1), 7)
     return _t6_lhs(j, l, n), rhs
 
@@ -317,8 +317,7 @@ def _sides_t6_printed(j: list, l: list, n: int):
 def _sides_t6_corrected(j: list, l: list, n: int):
     # The constant coefficient 2 on the squared-alpha term replaced by the
     # index-dependent 2^(n+1).
-    eps = epsilon_hat(n)
-    anti = ALPHA * eps + eps * ALPHA
+    anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
     rhs = ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti * 3) * 2 ** (n + 1), 7)
     return _t6_lhs(j, l, n), rhs
 

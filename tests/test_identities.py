@@ -16,9 +16,16 @@ from jacobsthal_octonions.identities import (
     value_to_json,
     verify,
     verify_range,
+    _ALPHA_EPS_ROWS,
+    _EPS_ALPHA_ROWS,
 )
 from jacobsthal_octonions.octonion import Octonion, ScaledOctonion
-from jacobsthal_octonions.octonion_sequences import OctonionSequenceKind, oct_seq
+from jacobsthal_octonions.octonion_sequences import (
+    ALPHA,
+    OctonionSequenceKind,
+    epsilon_hat,
+    oct_seq,
+)
 from jacobsthal_octonions.sequences import SequenceKind, seq_value
 
 PRINTED = Variant.AS_PRINTED
@@ -306,3 +313,10 @@ def test_range_reports_match_single_checks():
                      if descriptor.in_domain(n)]
             assert report.total_checked == len(alone)
             assert report.failures == tuple(r for r in alone if not r.passed)
+
+
+def test_alpha_epsilon_rows_match_products():
+    # The T5/T6 right sides read these rows instead of multiplying.
+    for n in range(6):
+        assert _ALPHA_EPS_ROWS[n % 3] == ALPHA * epsilon_hat(n)
+        assert _EPS_ALPHA_ROWS[n % 3] == epsilon_hat(n) * ALPHA

@@ -109,8 +109,39 @@ def test_product_matches_basis_expansion(bits, pairs):
         p, q = sparse_octonion(rng, bits), sparse_octonion(rng, bits)
         for x, y in ((p, q), (q, p), (p, p), (p, -q)):
             assert x * y == reference_product(x, y)
+        # p * p (one object) takes the squaring path; p times an equal but
+        # distinct copy takes the general product.
+        assert p * p == p * Octonion(p.coefficients)
     zero = Octonion.zero()
     assert p * zero == zero * p == reference_product(p, zero) == zero
+
+
+# --- the squaring path ----------------------------------------------------
+
+
+@pytest.mark.parametrize("coefficients, square", [
+    ((0,) * 8, (0,) * 8),
+    ((-7, 0, 0, 0, 0, 0, 0, 0), (49, 0, 0, 0, 0, 0, 0, 0)),
+    ((0, 1, -2, 3, 0, 0, 5, -1), (-40, 0, 0, 0, 0, 0, 0, 0)),
+    ((-3, 1, -2, 3, 4, 0, 5, -1), (-47, -6, 12, -18, -24, 0, -30, 6)),
+])
+def test_square_special_values(coefficients, square):
+    # Zero, a real-only octonion, a pure-imaginary one (its square is
+    # -|v|^2) and a negative real part.
+    x = Octonion(coefficients)
+    assert x * x == Octonion(square) == x * Octonion(coefficients)
+
+
+def test_scaled_square_matches_product_with_copy():
+    rng = random.Random(13)
+    for bits in (64, 1024):
+        p = sparse_octonion(rng, bits)
+        s = ScaledOctonion(p * 3, 21)
+        copy = ScaledOctonion(Octonion(s.numerator.coefficients), s.denominator)
+        square, product = s * s, s * copy
+        assert (square.numerator, square.denominator) == (product.numerator,
+                                                          product.denominator)
+        assert square == ScaledOctonion(reference_product(p, p), 49)
 
 
 # --- construction and basic arithmetic -----------------------------------
