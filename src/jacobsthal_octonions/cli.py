@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import UnknownVariantError
 from .identities import (
@@ -47,13 +47,12 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
-    """Write the text chunks, in order, to ``out`` or to stdout."""
+def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            handle.write(text)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -67,7 +66,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         text = "".join(f"{n},{v}\n" for n, v in rows)
     else:
         text = "".join(f"{n}\t{v}\n" for n, v in rows)
-    _emit([text], args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -96,7 +95,7 @@ def _cmd_oct(args: argparse.Namespace) -> int:
         text = _compact(coefficients) + "\n"
         if agree is not None:
             text += f"closed=recurrence: {str(agree).lower()}\n"
-    _emit([text], args.out)
+    _emit(text, args.out)
     return EXIT_OK if agree in (None, True) else EXIT_DISCREPANCY
 
 
@@ -123,7 +122,7 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
             cells = [f"e{i}"] + [_table_entry(*entry) for entry in row]
             lines.append("  ".join(f"{cell:>3}" for cell in cells))
         text = "\n".join(lines) + "\n"
-    _emit([text], args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -152,27 +151,31 @@ def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
         raise UsageError(str(exc)) from None
 
 
-def _format_reports(reports: list[RangeReport], fmt: str) -> Iterator[str]:
-    """The report text in chunks, so that a large witness is never held as
-    one string."""
+def _format_reports(reports: list[RangeReport], fmt: str) -> str:
     if fmt == "json":
-        yield from json.JSONEncoder(indent=2).iterencode([r.to_json() for r in reports])
-        yield "\n"
-        return
+        return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     if fmt == "csv":
-        for r in reports:
-            yield (f"{r.identity.name},{r.variant.value},{r.n_from},{r.n_to},"
-                   f"{r.total_checked},{len(r.skipped)},{len(r.failures)}\n")
-        return
+        lines = [
+            f"{r.identity.name},{r.variant.value},{r.n_from},{r.n_to},"
+            f"{r.total_checked},{len(r.skipped)},{len(r.failures)}"
+            for r in reports
+        ]
+        return "\n".join(lines) + "\n"
+    lines = []
     for r in reports:
         status = "ok" if r.passed else "FAIL"
-        yield (f"{r.identity.name} {r.variant.value} [{r.n_from},{r.n_to}]: "
-               f"checked={r.total_checked} skipped={len(r.skipped)} "
-               f"failures={len(r.failures)} {status}\n")
+        lines.append(
+            f"{r.identity.name} {r.variant.value} [{r.n_from},{r.n_to}]: "
+            f"checked={r.total_checked} skipped={len(r.skipped)} "
+            f"failures={len(r.failures)} {status}"
+        )
         for failure in r.failures:
-            yield (f"  n={failure.n} lhs={_compact(value_to_json(failure.lhs))} "
-                   f"rhs={_compact(value_to_json(failure.rhs))} "
-                   f"delta={_compact(value_to_json(failure.delta))}\n")
+            lines.append(
+                f"  n={failure.n} lhs={_compact(value_to_json(failure.lhs))} "
+                f"rhs={_compact(value_to_json(failure.rhs))} "
+                f"delta={_compact(value_to_json(failure.delta))}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -212,24 +212,6 @@ def test_out_writes_same_bytes_as_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
-def test_witness_json_streams_in_bounded_memory():
-    # A fresh process, so that no other test's values are counted.  The
-    # report is about 11.6 MB of json; held as one string (plus its encoded
-    # copy) it peaked at about 42 MB.
-    code = ("import sys, tracemalloc\n"
-            "from jacobsthal_octonions.cli import main\n"
-            "tracemalloc.start()\n"
-            "main(['verify', '--identity', 'T6_QUAD', '--variant', 'both',\n"
-            "      '--from', '3000', '--to', '3300', '--format', 'json'])\n"
-            "sys.stderr.write(str(tracemalloc.get_traced_memory()[1]))\n")
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", code],
-                            env={**os.environ, "PYTHONPATH": str(src)},
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            text=True, check=True, timeout=120)
-    assert int(result.stderr) < 30_000_000
-
-
 # --- errors other than usage ----------------------------------------------------
 
 
