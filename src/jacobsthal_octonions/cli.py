@@ -4,8 +4,9 @@ Subcommands: ``seq`` (scalar sequence tables), ``oct`` (one octonion of a
 sequence, optionally cross-checked against its closed form), ``mul-table``
 (the signed basis multiplication table) and ``verify`` (identity range
 reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
-2 usage error, 3 any other error (one ``j3o: error:`` line on stderr, no
-traceback), so a crash never reads as a failed identity.  Data goes to
+2 usage error (an index outside its domain included), 3 any other error
+(one ``j3o: error:`` line on stderr, no traceback), so a crash never reads
+as a failed identity.  Data goes to
 stdout (or ``--out``), diagnostics to stderr.  All numbers are emitted as
 decimal strings: coefficients outgrow 64-bit integers quickly, and strings
 round-trip losslessly through JSON and CSV.
@@ -19,7 +20,7 @@ import sys
 from itertools import islice
 from typing import Optional, Sequence
 
-from .errors import UnknownVariantError
+from .errors import DomainError, UnknownVariantError
 from .identities import (
     REGISTRY,
     IdentityId,
@@ -31,7 +32,7 @@ from .identities import (
 )
 from .octonion import MULTIPLICATION_TABLE
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
-from .sequences import SequenceKind, seq_terms
+from .sequences import _MAX_INDEX, SequenceKind, seq_terms
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -58,7 +59,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
-    terms = islice(seq_terms(SequenceKind(args.kind)), args.n_from, args.n_to + 1)
+    if args.n_to > _MAX_INDEX:
+        raise UsageError(f"sequence index must be <= {_MAX_INDEX}, got {args.n_to}")
+    kind = SequenceKind(args.kind)
+    terms = islice(seq_terms(kind, args.n_from), args.n_to - args.n_from + 1)
     rows = [(n, value_to_json(x)) for n, x in enumerate(terms, args.n_from)]
     if args.format == "json":
         text = json.dumps([{"n": n, "value": v} for n, v in rows], indent=2) + "\n"
@@ -247,7 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"j3o: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

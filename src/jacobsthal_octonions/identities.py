@@ -34,7 +34,7 @@ from .octonion_sequences import (
     OctonionSequenceKind,
     oct_seq_closed,
 )
-from .sequences import SCALAR_IDENTITIES, _term_lists, correction
+from .sequences import SCALAR_IDENTITIES, _term_lists, _Terms, correction
 
 __all__ = [
     "IdentityId",
@@ -58,9 +58,9 @@ __all__ = [
 # exact (possibly rational) octonion.
 Value = Union[int, Fraction, Octonion, ScaledOctonion]
 
-# Both sides of one identity variant at index n, (lhs, rhs), from the lists
-# j and l of J3 and JL3 terms: sides(j, l, n).
-Sides = Callable[[list, list, int], tuple[Value, Value]]
+# Both sides of one identity variant at index n, (lhs, rhs), from the J3
+# and JL3 terms and running sums t that ``_term_lists`` builds: sides(t, n).
+Sides = Callable[[_Terms, int], tuple[Value, Value]]
 
 
 class Variant(Enum):
@@ -270,56 +270,56 @@ def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> Fractio
     return Fraction(lead + b * 2 ** n + c, 49)
 
 
-def _sides_oct_rec(j: list, l: list, n: int):
+def _sides_oct_rec(t: _Terms, n: int):
     # Both sequences obey the recurrence; report the first failing pair,
     # or the JO pair (zero delta) when both hold.
-    for terms in (j, l):
+    for terms in (t.j, t.l):
         lhs = _oct(terms, n + 2)
         rhs = _oct(terms, n + 1) + _oct(terms, n) + _oct(terms, n - 1) * 2
         if lhs != rhs:
             return lhs, rhs
-    lhs = _oct(j, n + 2)
+    lhs = _oct(t.j, n + 2)
     return lhs, lhs
 
 
-def _t5_lhs(j: list, l: list, n: int) -> Octonion:
-    jol = _oct(l, n)
-    return jol * jol + (_oct(j, n + 3) * _oct(l, n + 3)) * 3
+def _t5_lhs(t: _Terms, n: int) -> Octonion:
+    jol = _oct(t.l, n)
+    return jol * jol + (_oct(t.j, n + 3) * _oct(t.l, n + 3)) * 3
 
 
-def _sides_t5_printed(j: list, l: list, n: int):
+def _sides_t5_printed(t: _Terms, n: int):
     ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49))
-    return _t5_lhs(j, l, n), rhs
+    return _t5_lhs(t, n), rhs
 
 
-def _sides_t5_corrected(j: list, l: list, n: int):
+def _sides_t5_corrected(t: _Terms, n: int):
     # Commutator form: the 25/31 weights replaced by an equal-weight
     # commutator at a higher power of two.
     ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
     rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
            + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
-    return _t5_lhs(j, l, n), rhs
+    return _t5_lhs(t, n), rhs
 
 
-def _t6_lhs(j: list, l: list, n: int) -> Octonion:
-    jol, jo = _oct(l, n), _oct(j, n)
+def _t6_lhs(t: _Terms, n: int) -> Octonion:
+    jol, jo = _oct(t.l, n), _oct(t.j, n)
     return jol * jol - (jo * jo) * 9
 
 
-def _sides_t6_printed(j: list, l: list, n: int):
+def _sides_t6_printed(t: _Terms, n: int):
     anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
     rhs = ScaledOctonion((_ALPHA_SQ * 2 + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(j, l, n), rhs
+    return _t6_lhs(t, n), rhs
 
 
-def _sides_t6_corrected(j: list, l: list, n: int):
+def _sides_t6_corrected(t: _Terms, n: int):
     # The constant coefficient 2 on the squared-alpha term replaced by the
     # index-dependent 2^(n+1).
     anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
     rhs = ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(j, l, n), rhs
+    return _t6_lhs(t, n), rhs
 
 
 @dataclass(frozen=True)
@@ -360,50 +360,50 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         _sides_oct_rec, n_min=1),
     "BINET_JO": IdentityDescriptor(
         "JO(n) equals its closed form (2^(n+1)*alpha - eps(n))/7",
-        lambda j, l, n: (_oct(j, n), oct_seq_closed(_JO, n))),
+        lambda t, n: (_oct(t.j, n), oct_seq_closed(_JO, n))),
     "BINET_JOL": IdentityDescriptor(
         "jO(n) equals its closed form (2^(n+3)*alpha + 3*eps(n))/7",
-        lambda j, l, n: (_oct(l, n), oct_seq_closed(_JOL, n))),
+        lambda t, n: (_oct(t.l, n), oct_seq_closed(_JOL, n))),
     "T1_SUM": IdentityDescriptor(
         "JO(n+2) + JO(n+1) + JO(n) = 2^(n+1)*alpha",
-        lambda j, l, n: (_oct(j, n + 2) + _oct(j, n + 1) + _oct(j, n), ALPHA * 2 ** (n + 1))),
+        lambda t, n: (_oct(t.j, n + 2) + _oct(t.j, n + 1) + _oct(t.j, n), ALPHA * 2 ** (n + 1))),
     "T1_SHIFT4": IdentityDescriptor(
         "JO(n+2) - 4*JO(n) equals a period-3 octonion row",
-        lambda j, l, n: (_oct(j, n + 2) - _oct(j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
+        lambda t, n: (_oct(t.j, n + 2) - _oct(t.j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
     "T1_NORM": IdentityDescriptor(
         "Nr2(JO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda j, l, n: (_oct(j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n))),
+        lambda t, n: (_oct(t.j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n))),
     "T2_SUM": IdentityDescriptor(
         "jO(n+2) + jO(n+1) + jO(n) = 2^(n+3)*alpha",
-        lambda j, l, n: (_oct(l, n + 2) + _oct(l, n + 1) + _oct(l, n), ALPHA * 2 ** (n + 3))),
+        lambda t, n: (_oct(t.l, n + 2) + _oct(t.l, n + 1) + _oct(t.l, n), ALPHA * 2 ** (n + 3))),
     "T2_SHIFT4": IdentityDescriptor(
         "jO(n+2) - 4*jO(n) equals a period-3 octonion row",
-        lambda j, l, n: (_oct(l, n + 2) - _oct(l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
+        lambda t, n: (_oct(t.l, n + 2) - _oct(t.l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
     "T2_NORM": IdentityDescriptor(
         "Nr2(jO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda j, l, n: (_oct(l, n).norm_sq(),
-                         _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n))),
+        lambda t, n: (_oct(t.l, n).norm_sq(),
+                      _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n))),
     "T3_A": IdentityDescriptor(
         "jO(n+3) - 3*JO(n+3) = 2*jO(n)",
-        lambda j, l, n: (_oct(l, n + 3) - _oct(j, n + 3) * 3, _oct(l, n) * 2)),
+        lambda t, n: (_oct(t.l, n + 3) - _oct(t.j, n + 3) * 3, _oct(t.l, n) * 2)),
     "T3_B": IdentityDescriptor(
         "jO(n) + jO(n+1) = 3*JO(n+2)",
-        lambda j, l, n: (_oct(l, n) + _oct(l, n + 1), _oct(j, n + 2) * 3)),
+        lambda t, n: (_oct(t.l, n) + _oct(t.l, n + 1), _oct(t.j, n + 2) * 3)),
     "T3_C": IdentityDescriptor(
         "jO(n) - JO(n+2) equals a period-3 octonion row",
-        lambda j, l, n: (_oct(l, n) - _oct(j, n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
+        lambda t, n: (_oct(t.l, n) - _oct(t.j, n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
     "T3_D": IdentityDescriptor(
         "jO(n) - 4*JO(n) = eps(n)",
-        lambda j, l, n: (_oct(l, n) - _oct(j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
+        lambda t, n: (_oct(t.l, n) - _oct(t.j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
     "T4_PROD_JOJ": IdentityDescriptor(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda j, l, n: (_oct(l, n) * _oct(j, n),
-                         closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
+        lambda t, n: (_oct(t.l, n) * _oct(t.j, n),
+                      closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
         residue=0),
     "T4_PROD_JJO": IdentityDescriptor(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda j, l, n: (_oct(j, n) * _oct(l, n),
-                         closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
+        lambda t, n: (_oct(t.j, n) * _oct(t.l, n),
+                      closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
         residue=0),
     "T5_QUAD": IdentityDescriptor(
         "jO(n)^2 + 3*JO(n+3)*jO(n+3) against the printed right side",
@@ -435,8 +435,8 @@ def _descriptor(identity: IdentityId, variant: Variant) -> tuple[IdentityDescrip
 
 
 def _check(identity: IdentityId, variant: Variant, sides: Sides,
-           j: list, l: list, n: int) -> VerificationReport:
-    lhs, rhs = sides(j, l, n)
+           terms: _Terms, n: int) -> VerificationReport:
+    lhs, rhs = sides(terms, n)
     return VerificationReport(
         identity=identity,
         variant=variant,
@@ -457,7 +457,7 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    return _check(identity, variant, sides, *_term_lists(n, n), n)
+    return _check(identity, variant, sides, _term_lists(n, n), n)
 
 
 def verify_range(identity: IdentityId, variant: Variant,
@@ -468,7 +468,7 @@ def verify_range(identity: IdentityId, variant: Variant,
     if n_from < 0 or n_to < n_from:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     descriptor, sides = _descriptor(identity, variant)
-    j, l = _term_lists(n_from, n_to)
+    terms = _term_lists(n_from, n_to)
     skipped: list[int] = []
     failures: list[VerificationReport] = []
     checked = 0
@@ -476,7 +476,7 @@ def verify_range(identity: IdentityId, variant: Variant,
         if not descriptor.in_domain(n):
             skipped.append(n)
             continue
-        report = _check(identity, variant, sides, j, l, n)
+        report = _check(identity, variant, sides, terms, n)
         checked += 1
         if not report.passed:
             failures.append(report)

@@ -212,11 +212,11 @@ class Octonion:
             return Octonion([a0 * a0 - sum([a * a for a in v])] + [twice * a for a in v])
         if isinstance(other, Octonion):
             a, b = self._c, other._c
-            return Octonion(sum([a[i] * b[j] for i, j in plus])
-                            - sum([a[i] * b[j] for i, j in minus])
-                            for plus, minus in _PRODUCT_TERMS)
+            return Octonion([sum([a[i] * b[j] for i, j in plus])
+                             - sum([a[i] * b[j] for i, j in minus])
+                             for plus, minus in _PRODUCT_TERMS])
         if isinstance(other, int):
-            return Octonion(a * other for a in self._c)
+            return Octonion([a * other for a in self._c])
         return NotImplemented
 
     # Only an int reaches the reflected product, and scaling commutes.

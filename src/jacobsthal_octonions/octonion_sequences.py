@@ -60,10 +60,8 @@ def epsilon_hat(n: int) -> Octonion:
 
 def oct_seq(kind: OctonionSequenceKind, n: int) -> Octonion:
     """The n-th octonion of ``kind`` from recurrence-generated scalars: the
-    eight consecutive terms from index n of one walk."""
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
-    return Octonion(islice(seq_terms(_SCALAR_FOR[kind]), n, n + 8))
+    eight consecutive terms of one walk that begins at index n."""
+    return Octonion(islice(seq_terms(_SCALAR_FOR[kind], n), 8))
 
 
 def _exact_div7(p: Octonion) -> Octonion:

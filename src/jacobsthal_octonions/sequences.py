@@ -16,19 +16,21 @@ transcription self-check.
 
 Negative indices are rejected everywhere: extending the recurrences
 backwards yields non-integer values for the Lucas-type sequence, so the
-domain is n >= 0 only.  ``SCALAR_IDENTITIES`` holds one row per scalar
+domain is n >= 0 only.  ``seq_value`` and ``seq_terms`` also refuse an
+index past ``_MAX_INDEX``.  ``SCALAR_IDENTITIES`` holds one row per scalar
 identity, and ``scalar_identity_sides`` evaluates both sides of one; the
 identities that reference index n-3 therefore require n >= 3.
 
-Every function here is pure.  ``seq_terms`` walks a recurrence holding only
-its last two or three terms, and the others are built on that walk, so no
-term outlives the call that computed it.
+Every function here is pure.  ``seq_terms`` reaches its first index by
+powering and walks the recurrence on from there, holding only its last two
+or three terms, and the others are built on it, so no term outlives the
+call that computed it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, InconsistencyError
@@ -79,27 +81,84 @@ def correction(n: int) -> int:
     return CORRECTION_TABLE[n % 3]
 
 
-def seq_terms(kind: SequenceKind) -> Iterator[int]:
-    """Terms 0, 1, 2, ... of ``kind``, without end, by its defining
-    recurrence.  Only the last two or three terms are held."""
+# Past this index a term is refused rather than computed.  At 10^6,
+# ``j3o seq`` takes about 1 s end to end and ``j3o oct --closed`` 8 s; at
+# 10^7 they take 105 s and 13 minutes, mostly decimal output (README,
+# "Index bound").  J3(10^9) alone is an int of 125 MB.
+_MAX_INDEX = 10 ** 6
+
+
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"sequence index must be >= 0, got {n}")
+    if n > _MAX_INDEX:
+        raise DomainError(f"sequence index must be <= {_MAX_INDEX}, got {n}")
+
+
+def _x_power(kind: SequenceKind, n: int) -> tuple[int, ...]:
+    """x^n modulo the characteristic polynomial of ``kind``, as its
+    coefficients from the constant up, by square-and-multiply (C. M.
+    Fiduccia, "An efficient formula for linear recurrences", SIAM J.
+    Comput. 14 (1985)).  Term n is then sum(c[i] * term(i)): only the
+    recurrence is used, never the closed form."""
+    # One reduction per order, unrolled.  Each bit of n squares the residue,
+    # then multiplies it by x when the bit is set.
+    if kind in THIRD_ORDER_KINDS:
+        # x^3 = x^2 + x + 2, hence x^4 = x^3 + x^2 + 2x.
+        c0, c1, c2 = 1, 0, 0
+        for bit in bin(n)[2:]:
+            d0, d1, d2 = c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2
+            d3, d4 = 2 * c1 * c2, c2 * c2
+            d3 += d4
+            c0, c1, c2 = d0 + 2 * d3, d1 + 2 * d4 + d3, d2 + d4 + d3
+            if bit == "1":
+                c0, c1, c2 = 2 * c2, c0 + c2, c1 + c2
+        return c0, c1, c2
+    # x^2 = x + 2.
+    c0, c1 = 1, 0
+    for bit in bin(n)[2:]:
+        d2 = c1 * c1
+        c0, c1 = c0 * c0 + 2 * d2, 2 * c0 * c1 + d2
+        if bit == "1":
+            c0, c1 = 2 * c1, c0 + c1
+    return c0, c1
+
+
+def _state(kind: SequenceKind, n: int) -> tuple[int, ...]:
+    """Terms n, n + 1 (and n + 2 for a third-order kind) of ``kind``."""
+    c = _x_power(kind, n)
+    # The same residue shifts along the walk: term n + k is
+    # sum(c[i] * term(i + k)), so the first 2*order - 1 terms suffice.
+    head = list(islice(_walk(*_SEEDS[kind]), 2 * len(c) - 1))
+    return tuple(sum(ci * t for ci, t in zip(c, head[k:])) for k in range(len(c)))
+
+
+def _walk(a: int, b: int, c: int | None = None) -> Iterator[int]:
+    """The recurrence walked on from the state (a, b) or (a, b, c)."""
     # One loop per order: a shared loop over a tuple window is about three
     # times slower per step.
-    if kind in THIRD_ORDER_KINDS:
-        a, b, c = _SEEDS[kind]
+    if c is not None:
         while True:
             yield a
             a, b, c = b, c, c + b + 2 * a
-    a, b = _SEEDS[kind]
     while True:
         yield a
         a, b = b, b + 2 * a
 
 
+def seq_terms(kind: SequenceKind, start: int = 0) -> Iterator[int]:
+    """Terms start, start + 1, ... of ``kind``, without end, by its defining
+    recurrence.  The walk begins at ``start``, reached in O(log start)
+    products by powering, and holds only its last two or three terms."""
+    _check_index(start)
+    return _walk(*_state(kind, start))
+
+
 def seq_value(kind: SequenceKind, n: int) -> int:
-    """The n-th term of ``kind``, computed by its defining recurrence."""
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
-    return next(islice(seq_terms(kind), n, None))
+    """The n-th term of ``kind``, computed from its defining recurrence by
+    powering, in O(log n) products."""
+    _check_index(n)
+    return _state(kind, n)[0]
 
 
 def seq_closed(kind: SequenceKind, n: int) -> int:
@@ -144,28 +203,48 @@ def partial_sum_closed(kind: SequenceKind, n: int) -> int:
     return nxt + 1 if n % 3 == 0 else nxt - 2
 
 
-def _term_lists(n_from: int, n_to: int) -> tuple[list, list]:
-    """The J3 and JL3 terms that identity sides read for n in [n_from, n_to],
-    as two lists indexed by term index.
+class _Terms(NamedTuple):
+    """The J3 and JL3 terms and their running sums, indexed by term index:
+    j[n] = J3(n), j_sum[n] = J3(0) + ... + J3(n), and likewise l and l_sum
+    for JL3."""
+
+    j: list
+    l: list
+    j_sum: dict
+    l_sum: dict
+
+
+def _term_lists(n_from: int, n_to: int) -> _Terms:
+    """The terms and running sums that identity sides read for n in
+    [n_from, n_to], from one walk per kind.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
-    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The entries below
-    n_from - 3 are None, so a far-off range holds O(n) bits per term it
-    reads rather than every term from 0.
+    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The term entries
+    below n_from - 3 are None, so a far-off range holds O(n) bits per term
+    it reads rather than every term from 0.  The walk adds up the terms it
+    passes below that window into one int.  The sums are only read at an
+    index, never sliced, so they are dicts with no padding below it.
     """
     low = max(n_from - 3, 0)
-    return tuple([None] * low + list(islice(seq_terms(kind), low, n_to + 11))
-                  for kind in THIRD_ORDER_KINDS)
+    terms, sums = [], []
+    for kind in THIRD_ORDER_KINDS:
+        walk = seq_terms(kind)
+        below = sum(islice(walk, low))
+        window = list(islice(walk, n_to + 11 - low))
+        terms.append([None] * low + window)
+        # Key low - 1 holds the sum below the window.
+        sums.append(dict(enumerate(accumulate(window, initial=below), low - 1)))
+    return _Terms(*terms, *sums)
 
 
 class ScalarIdentity(NamedTuple):
     """One scalar identity: its statement, both sides as exact integers
-    from the J3 and JL3 term lists and the index, ``sides(j, l, n)`` (the
-    left side always from recurrence-generated values), and the least index
-    at which every term it references exists."""
+    from the term lists and the index, ``sides(t, n)`` with ``t`` from
+    ``_term_lists`` (the left side always from recurrence-generated values),
+    and the least index at which every term it references exists."""
 
     statement: str
-    sides: Callable[[list, list, int], tuple[int, int]]
+    sides: Callable[[_Terms, int], tuple[int, int]]
     n_min: int = 0
 
 
@@ -174,39 +253,38 @@ class ScalarIdentity(NamedTuple):
 SCALAR_IDENTITIES = {
     "E4": ScalarIdentity(
         "3*J3(n) + JL3(n) = 2^(n+1)",
-        lambda j, l, n: (3 * j[n] + l[n], 2 ** (n + 1))),
+        lambda t, n: (3 * t.j[n] + t.l[n], 2 ** (n + 1))),
     "E5": ScalarIdentity(
         "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
-        lambda j, l, n: (l[n] - 3 * j[n], 2 * l[n - 3]), n_min=3),
+        lambda t, n: (t.l[n] - 3 * t.j[n], 2 * t.l[n - 3]), n_min=3),
     "EC5": ScalarIdentity(
         "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
-        lambda j, l, n: (j[n + 2] - 4 * j[n], -2 if n % 3 == 1 else 1)),
+        lambda t, n: (t.j[n + 2] - 4 * t.j[n], -2 if n % 3 == 1 else 1)),
     "E6": ScalarIdentity(
         "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
-        lambda j, l, n: (l[n] - 4 * j[n], correction(n))),
+        lambda t, n: (t.l[n] - 4 * t.j[n], correction(n))),
     "E7": ScalarIdentity(
         "JL3(n+1) + JL3(n) = 3*J3(n+2)",
-        lambda j, l, n: (l[n + 1] + l[n], 3 * j[n + 2])),
+        lambda t, n: (t.l[n + 1] + t.l[n], 3 * t.j[n + 2])),
     "E8": ScalarIdentity(
         "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
-        lambda j, l, n: (l[n] - j[n + 2], (1, -1, 0)[n % 3])),
+        lambda t, n: (t.l[n] - t.j[n + 2], (1, -1, 0)[n % 3])),
     "E9": ScalarIdentity(
         "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
-        lambda j, l, n: (l[n - 3] ** 2 + 3 * j[n] * l[n], 4 ** n), n_min=3),
+        lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
     "E10": ScalarIdentity(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda j, l, n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL, n),
-                         partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
+        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
     "E11": ScalarIdentity(
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
-        lambda j, l, n: (partial_sum(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n),
-                         partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
+        lambda t, n: (t.l_sum[n],
+                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
     "E12": ScalarIdentity(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
-        lambda j, l, n: (l[n] ** 2 - 9 * j[n] ** 2, 2 ** (n + 2) * l[n - 3]), n_min=3),
+        lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
     "JSUM": ScalarIdentity(
         "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
-        lambda j, l, n: (j[n + 2] + j[n + 1] + j[n], 2 ** (n + 1))),
+        lambda t, n: (t.j[n + 2] + t.j[n + 1] + t.j[n], 2 ** (n + 1))),
 }
 
 
@@ -224,4 +302,4 @@ def scalar_identity_sides(identity, n: int) -> tuple[int, int]:
         raise ValueError(f"unknown scalar identity {name!r}") from None
     if n < row.n_min:
         raise DomainError(f"identity {name} is defined for n >= {row.n_min}, got {n}")
-    return row.sides(*_term_lists(n, n), n)
+    return row.sides(_term_lists(n, n), n)

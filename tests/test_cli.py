@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jacobsthal_octonions import cli
+from jacobsthal_octonions import cli, sequences
 from jacobsthal_octonions.cli import main
 from jacobsthal_octonions.errors import InconsistencyError
 from jacobsthal_octonions.octonion import basis_product
@@ -89,6 +89,22 @@ def test_oct_negative_index(capsys):
     code, _, err = run(capsys, "oct", "--kind", "JO", "--n", "-1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "seq --kind j3 --from 0 --to 1000001",
+    "seq --kind jacobsthal --from 1000001 --to 1000001 --format json",
+    "oct --kind JO --n 1000001 --closed",
+    "oct --kind jO --n 1000001",
+])
+def test_index_past_the_bound_exits_2(capsys, monkeypatch, argv):
+    def no_power(*args):
+        raise AssertionError("a term past the bound was computed")
+
+    monkeypatch.setattr(sequences, "_x_power", no_power)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "j3o: error: sequence index must be <= 1000000, got 1000001\n"
 
 
 # --- mul-table ----------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacobsthal_octonions import sequences
 from jacobsthal_octonions.errors import DomainError, UnknownVariantError
 from jacobsthal_octonions.identities import (
     BILINEAR_U,
@@ -26,7 +27,7 @@ from jacobsthal_octonions.octonion_sequences import (
     epsilon_hat,
     oct_seq,
 )
-from jacobsthal_octonions.sequences import SequenceKind, seq_value
+from jacobsthal_octonions.sequences import SequenceKind, partial_sum, seq_value
 
 PRINTED = Variant.AS_PRINTED
 CORRECTED = Variant.CORRECTED
@@ -320,3 +321,37 @@ def test_alpha_epsilon_rows_match_products():
     for n in range(6):
         assert _ALPHA_EPS_ROWS[n % 3] == ALPHA * epsilon_hat(n)
         assert _EPS_ALPHA_ROWS[n % 3] == epsilon_hat(n) * ALPHA
+
+
+# --- E10/E11: running sums ----------------------------------------------------
+
+
+def test_partial_sum_rows_walk_each_term_once(monkeypatch):
+    # The left side reads the running sum of one walk per range; re-walking
+    # 0..n at every n would yield about two million terms here.
+    yielded = [0]
+    walk = sequences.seq_terms
+
+    def counting(kind, start=0):
+        for x in walk(kind, start):
+            yielded[0] += 1
+            yield x
+
+    monkeypatch.setattr(sequences, "seq_terms", counting)
+    for identity in (IdentityId.E10, IdentityId.E11):
+        yielded[0] = 0
+        report = verify_range(identity, PRINTED, 0, 2000)
+        assert report.passed and report.total_checked == 2001
+        assert 0 < yielded[0] <= 3 * 2000
+
+
+@pytest.mark.parametrize("identity, kind", [
+    (IdentityId.E10, SequenceKind.THIRD_ORDER_JACOBSTHAL),
+    (IdentityId.E11, SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS),
+])
+def test_partial_sum_rows_far_from_zero(identity, kind):
+    report = verify_range(identity, PRINTED, 5000, 5010)
+    assert report.passed and report.total_checked == 11
+    for n in range(5000, 5011):
+        checked = verify(identity, PRINTED, n)
+        assert checked.passed and checked.lhs == partial_sum(kind, n)

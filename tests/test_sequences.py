@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import jacobsthal_octonions
+from jacobsthal_octonions import sequences
 from jacobsthal_octonions.errors import DomainError
 from jacobsthal_octonions.sequences import (
     SCALAR_IDENTITIES,
@@ -182,3 +184,63 @@ def test_cold_term_keeps_linear_memory():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert int(result.stdout) < 1_000_000
+
+
+# --- single terms by powering -----------------------------------------------
+
+
+def _walked(kind, indices):
+    """The terms at ``indices`` from one walk of the recurrence from 0."""
+    wanted = set(indices)
+    found = {}
+    for n, x in enumerate(islice(seq_terms(kind), max(wanted) + 1)):
+        if n in wanted:
+            found[n] = x
+    return found
+
+
+def _closed(kind, n):
+    """Term n from its closed form: seq_closed for the third-order kinds,
+    the Binet forms of J and JL computed here for the others."""
+    if kind in THIRD_ORDER_KINDS:
+        return seq_closed(kind, n)
+    if kind is SequenceKind.JACOBSTHAL:
+        q, r = divmod(2 ** n - (-1) ** n, 3)
+        assert r == 0
+        return q
+    return 2 ** n + (-1) ** n
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_powering_matches_walk_and_closed_form(kind):
+    rng = random.Random(1985)
+    indices = [*range(61), *rng.sample(range(61, 10 ** 5 + 1), 4)]
+    walked = _walked(kind, indices)
+    for n in indices:
+        assert seq_value(kind, n) == walked[n] == _closed(kind, n), n
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_walk_from_start_matches_walk_from_zero(kind):
+    head = list(islice(seq_terms(kind), 60))
+    for start in range(51):
+        assert list(islice(seq_terms(kind, start), 10)) == head[start:start + 10]
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_negative_start_is_refused(kind):
+    with pytest.raises(DomainError):
+        seq_terms(kind, -1)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_index_past_the_bound_is_refused_before_any_work(kind, monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a term past the bound was computed")
+
+    monkeypatch.setattr(sequences, "_x_power", no_power)
+    for n in (sequences._MAX_INDEX + 1, 10 ** 9):
+        with pytest.raises(DomainError, match="<= 1000000"):
+            seq_value(kind, n)
+        with pytest.raises(DomainError, match="<= 1000000"):
+            seq_terms(kind, n)
