@@ -28,7 +28,7 @@ from .identities import (
     Variant,
     run_suite,
     value_to_json,
-    verify_range,
+    verify_ranges,
 )
 from .octonion import MULTIPLICATION_TABLE
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
@@ -149,8 +149,7 @@ def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
     else:
         variants = (Variant(args.variant),)
     try:
-        return [verify_range(identity, variant, args.n_from, args.n_to)
-                for variant in variants]
+        return verify_ranges(identity, variants, args.n_from, args.n_to)
     except UnknownVariantError as exc:
         raise UsageError(str(exc)) from None
 
@@ -185,6 +184,11 @@ def _format_reports(reports: list[RangeReport], fmt: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = _verify_reports(args)
     _emit(_format_reports(reports, args.format), args.out)
+    for r in reports:
+        if not r.total_checked:
+            print(f"j3o: warning: {r.identity.name} {r.variant.value} "
+                  f"[{r.n_from},{r.n_to}]: nothing checked, no index is in "
+                  f"the identity's domain", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DISCREPANCY
 
 

@@ -10,13 +10,16 @@ statement, its domain of validity and two independent computation paths:
   oracle-validated corrected variant as well).
 
 ``verify`` compares the two paths at one index and reports exact witness
-values; ``verify_range`` and ``run_suite`` aggregate over index ranges,
-recording out-of-domain indices as skips, never as failures.  There are no
-tolerances anywhere: passed means the delta is exactly zero.
+values; ``verify_ranges`` (``verify_range`` for one variant) and
+``run_suite`` aggregate over index ranges, evaluating each left side once
+for every variant and recording out-of-domain indices as skips, never as
+failures.  There are no tolerances anywhere: passed means the delta is
+exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
-variants (for T5_QUAD and T6_QUAD) are separate, labeled objects whose own
-correctness is asserted against the ground-truth path by the test suite.
+variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
+own correctness is asserted against the ground-truth path by the test
+suite.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Collection, Optional, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .errors import DomainError, InconsistencyError, UnknownVariantError
 from .octonion import Octonion, ScaledOctonion, _decimal_str
@@ -46,6 +49,7 @@ __all__ = [
     "REGISTRY",
     "verify",
     "verify_range",
+    "verify_ranges",
     "run_suite",
     "closed_product",
     "bilinear_product",
@@ -58,9 +62,11 @@ __all__ = [
 # exact (possibly rational) octonion.
 Value = Union[int, Fraction, Octonion, ScaledOctonion]
 
-# Both sides of one identity variant at index n, (lhs, rhs), from the J3
-# and JL3 terms and running sums t that ``_term_lists`` builds: sides(t, n).
-Sides = Callable[[_Terms, int], tuple[Value, Value]]
+# The sides of one identity at index n from the J3 and JL3 terms and
+# running sums t that ``_term_lists`` builds: sides(t, n) is the left side,
+# then one right side per variant of the identity, in the order of its
+# ``variants``: (lhs, rhs_printed) or (lhs, rhs_printed, rhs_corrected).
+Sides = Callable[[_Terms, int], tuple[Value, ...]]
 
 
 class Variant(Enum):
@@ -282,67 +288,43 @@ def _sides_oct_rec(t: _Terms, n: int):
     return lhs, lhs
 
 
-def _t5_lhs(t: _Terms, n: int) -> Octonion:
+def _sides_t5(t: _Terms, n: int):
+    # The corrected right side is a commutator form: the printed 25/31
+    # weights replaced by an equal-weight commutator at a higher power of two.
     jol = _oct(t.l, n)
-    return jol * jol + (_oct(t.j, n + 3) * _oct(t.l, n + 3)) * 3
-
-
-def _sides_t5_printed(t: _Terms, n: int):
     ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
-    rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
-           + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49))
-    return _t5_lhs(t, n), rhs
+    square = ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
+    return (jol * jol + (_oct(t.j, n + 3) * _oct(t.l, n + 3)) * 3,
+            square + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49),
+            square + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
 
 
-def _sides_t5_corrected(t: _Terms, n: int):
-    # Commutator form: the 25/31 weights replaced by an equal-weight
-    # commutator at a higher power of two.
-    ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
-    rhs = (ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
-           + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
-    return _t5_lhs(t, n), rhs
-
-
-def _t6_lhs(t: _Terms, n: int) -> Octonion:
+def _sides_t6(t: _Terms, n: int):
+    # The corrected right side replaces the printed constant coefficient 2
+    # on the squared-alpha term by the index-dependent 2^(n+1).
     jol, jo = _oct(t.l, n), _oct(t.j, n)
-    return jol * jol - (jo * jo) * 9
-
-
-def _sides_t6_printed(t: _Terms, n: int):
-    anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
-    rhs = ScaledOctonion((_ALPHA_SQ * 2 + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(t, n), rhs
-
-
-def _sides_t6_corrected(t: _Terms, n: int):
-    # The constant coefficient 2 on the squared-alpha term replaced by the
-    # index-dependent 2^(n+1).
-    anti = _ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]
-    rhs = ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti * 3) * 2 ** (n + 1), 7)
-    return _t6_lhs(t, n), rhs
+    anti = (_ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]) * 3
+    return (jol * jol - (jo * jo) * 9,
+            ScaledOctonion((_ALPHA_SQ * 2 + anti) * 2 ** (n + 1), 7),
+            ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti) * 2 ** (n + 1), 7))
 
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """A registered identity: its statement, its evaluation paths and its
-    domain, n >= n_min and, when ``residue`` is set, n = residue (mod 3)."""
+    """A registered identity: its statement, its evaluation paths, the
+    variants it is checked in (in report order, one right side each from
+    ``sides``) and its domain, n >= n_min and, when ``residue`` is set,
+    n = residue (mod 3)."""
 
     statement: str
-    printed: Sides
-    corrected: Optional[Sides] = None
+    sides: Sides
+    variants: tuple[Variant, ...] = (Variant.AS_PRINTED,)
     n_min: int = 0
     residue: Optional[int] = None
 
     @property
     def has_corrected(self) -> bool:
-        return self.corrected is not None
-
-    @property
-    def variants(self) -> tuple[Variant, ...]:
-        """The variants this identity is checked in, in report order."""
-        if self.has_corrected:
-            return (Variant.AS_PRINTED, Variant.CORRECTED)
-        return (Variant.AS_PRINTED,)
+        return Variant.CORRECTED in self.variants
 
     def in_domain(self, n: int) -> bool:
         if n < self.n_min:
@@ -407,10 +389,10 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         residue=0),
     "T5_QUAD": IdentityDescriptor(
         "jO(n)^2 + 3*JO(n+3)*jO(n+3) against the printed right side",
-        _sides_t5_printed, corrected=_sides_t5_corrected),
+        _sides_t5, variants=tuple(Variant)),
     "T6_QUAD": IdentityDescriptor(
         "jO(n)^2 - 9*JO(n)^2 against the printed right side",
-        _sides_t6_printed, corrected=_sides_t6_corrected),
+        _sides_t6, variants=tuple(Variant)),
 }
 
 IdentityId = Enum("IdentityId", [(name, name) for name in _IDENTITIES], module=__name__)
@@ -424,19 +406,18 @@ REGISTRY: dict[IdentityId, IdentityDescriptor] = {
 # ---------------------------------------------------------------------------
 # verification
 
-def _descriptor(identity: IdentityId, variant: Variant) -> tuple[IdentityDescriptor, Sides]:
-    """The registry row of ``identity``, which must have ``variant``, and
-    the sides of that variant."""
-    descriptor = REGISTRY[identity]
-    if variant not in descriptor.variants:
-        raise UnknownVariantError(f"{identity.name} has no corrected variant")
-    sides = descriptor.corrected if variant is Variant.CORRECTED else descriptor.printed
-    return descriptor, sides
+def _columns(identity: IdentityId, variants: Sequence[Variant]) -> list[int]:
+    """Where the right side of each of ``variants`` sits in the sides of
+    ``identity``; every one of them must be a variant it has."""
+    own = REGISTRY[identity].variants
+    for variant in variants:
+        if variant not in own:
+            raise UnknownVariantError(f"{identity.name} has no corrected variant")
+    return [own.index(variant) + 1 for variant in variants]
 
 
-def _check(identity: IdentityId, variant: Variant, sides: Sides,
-           terms: _Terms, n: int) -> VerificationReport:
-    lhs, rhs = sides(terms, n)
+def _check(identity: IdentityId, variant: Variant, n: int,
+           lhs: Value, rhs: Value) -> VerificationReport:
     return VerificationReport(
         identity=identity,
         variant=variant,
@@ -450,54 +431,70 @@ def _check(identity: IdentityId, variant: Variant, sides: Sides,
 
 def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport:
     """Check one identity variant at index n with exact arithmetic."""
-    descriptor, sides = _descriptor(identity, variant)
+    (column,) = _columns(identity, (variant,))
+    descriptor = REGISTRY[identity]
     if not descriptor.in_domain(n):
         if descriptor.residue is not None and (n < 0 or n % 3 != descriptor.residue):
             raise DomainError(
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    return _check(identity, variant, sides, _term_lists(n, n), n)
+    sides = descriptor.sides(_term_lists(n, n), n)
+    return _check(identity, variant, n, sides[0], sides[column])
 
 
-def verify_range(identity: IdentityId, variant: Variant,
-                 n_from: int, n_to: int) -> RangeReport:
-    """Apply ``verify`` at every n in [n_from, n_to], collecting skips for
-    out-of-domain indices and reports for exact failures.  The terms are
-    generated once for the whole range."""
+def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
+                  n_from: int, n_to: int) -> list[RangeReport]:
+    """Apply ``verify`` at every n in [n_from, n_to] for each of
+    ``variants``, collecting skips for out-of-domain indices and reports
+    for exact failures: one report per variant, in the order given.  The
+    terms are generated once for the whole range, and the sides once per
+    index, so the left side is shared by every variant."""
     if n_from < 0 or n_to < n_from:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    descriptor, sides = _descriptor(identity, variant)
+    columns = _columns(identity, variants)
+    descriptor = REGISTRY[identity]
     terms = _term_lists(n_from, n_to)
     skipped: list[int] = []
-    failures: list[VerificationReport] = []
+    failures: list[list[VerificationReport]] = [[] for _ in variants]
     checked = 0
     for n in range(n_from, n_to + 1):
         if not descriptor.in_domain(n):
             skipped.append(n)
             continue
-        report = _check(identity, variant, sides, terms, n)
+        sides = descriptor.sides(terms, n)
         checked += 1
-        if not report.passed:
-            failures.append(report)
-    return RangeReport(
+        for variant, column, failed in zip(variants, columns, failures):
+            report = _check(identity, variant, n, sides[0], sides[column])
+            if not report.passed:
+                failed.append(report)
+    return [RangeReport(
         identity=identity,
         variant=variant,
         n_from=n_from,
         n_to=n_to,
         total_checked=checked,
         skipped=tuple(skipped),
-        failures=tuple(failures),
-    )
+        failures=tuple(failed),
+    ) for variant, failed in zip(variants, failures)]
+
+
+def verify_range(identity: IdentityId, variant: Variant,
+                 n_from: int, n_to: int) -> RangeReport:
+    """``verify_ranges`` for one variant."""
+    return verify_ranges(identity, (variant,), n_from, n_to)[0]
 
 
 def run_suite(variants: Collection[Variant], n_to: int,
               n_from: int = 0) -> list[RangeReport]:
     """Run every registered identity over [n_from, n_to] in each of
-    ``variants`` that it has, in registry order.  Ordering is fixed so
-    suite outputs diff cleanly across runs."""
+    ``variants`` that it has, in registry order, one pass per identity.
+    Ordering is fixed so suite outputs diff cleanly across runs."""
     if n_to < 0:
         raise ValueError(f"n_to must be >= 0, got {n_to}")
-    return [verify_range(identity, variant, n_from, n_to)
-            for identity, descriptor in REGISTRY.items()
-            for variant in descriptor.variants if variant in variants]
+    reports: list[RangeReport] = []
+    for identity, descriptor in REGISTRY.items():
+        wanted = [variant for variant in descriptor.variants if variant in variants]
+        if wanted:
+            reports += verify_ranges(identity, wanted, n_from, n_to)
+    return reports

@@ -223,8 +223,10 @@ def _term_lists(n_from: int, n_to: int) -> _Terms:
     below n_from - 3 are None, so a far-off range holds O(n) bits per term
     it reads rather than every term from 0.  The walk adds up the terms it
     passes below that window into one int.  The sums are only read at an
-    index, never sliced, so they are dicts with no padding below it.
+    index, never sliced, so they are dicts with no padding below it.  A
+    range that ends past the index bound is refused before any walk.
     """
+    _check_index(n_to)
     low = max(n_from - 3, 0)
     terms, sums = [], []
     for kind in THIRD_ORDER_KINDS:

@@ -1,0 +1,19 @@
+import pytest
+
+from jacobsthal_octonions.octonion import Octonion
+
+
+@pytest.fixture
+def octonion_products(monkeypatch) -> list:
+    """A one-element list counting the octonion-by-octonion calls of
+    ``Octonion.__mul__`` from here on.  Scaling by an int is left out:
+    comparing two sides scales once per variant."""
+    calls = [0]
+    product = Octonion.__mul__
+
+    def counting(self, other):
+        calls[0] += isinstance(other, Octonion)
+        return product(self, other)
+
+    monkeypatch.setattr(Octonion, "__mul__", counting)
+    return calls

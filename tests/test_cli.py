@@ -202,6 +202,54 @@ def test_verify_plain_failure_lines(capsys):
     assert 'n=1 lhs=' in out and "delta=" in out
 
 
+@pytest.mark.parametrize("identity", ["T5_QUAD", "T6_QUAD"])
+def test_verify_both_makes_the_products_of_one_variant(capsys, octonion_products, identity):
+    counts = []
+    for variant in ("printed", "both"):
+        octonion_products[0] = 0
+        run(capsys, "verify", "--identity", identity, "--variant", variant,
+            "--from", "30", "--to", "35", "--format", "csv")
+        counts.append(octonion_products[0])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("argv, report, skipped", [
+    ("verify --identity E5 --to 2", "E5 printed [0,2]", 3),
+    ("verify --identity T4_PROD_JOJ --from 1 --to 2", "T4_PROD_JOJ printed [1,2]", 2),
+])
+def test_vacuous_range_warns_on_stderr_only(capsys, argv, report, skipped):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0
+    assert out == f"{report}: checked=0 skipped={skipped} failures=0 ok\n"
+    assert err == (f"j3o: warning: {report}: nothing checked, no index is in "
+                   f"the identity's domain\n")
+
+
+def test_vacuous_reports_of_a_suite_each_warn(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--to", "2", "--format", "csv")
+    assert code == 1
+    assert "E5,printed,0,2,0,3,0\n" in out
+    assert err.splitlines() == [
+        f"j3o: warning: {name} printed [0,2]: nothing checked, no index is in "
+        f"the identity's domain" for name in ("E5", "E9", "E12")]
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --identity T3_D --from 1000005 --to 1000006",
+    "verify --identity E10 --from 999990 --to 1000006",
+    "verify --all --variant both --to 1000006 --format json",
+])
+def test_verify_range_past_the_bound_exits_2_before_any_walk(capsys, monkeypatch, argv):
+    def no_walk(*args):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(sequences, "_walk", no_walk)
+    monkeypatch.setattr(sequences, "_x_power", no_walk)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "j3o: error: sequence index must be <= 1000000, got 1000006\n"
+
+
 # --- determinism and --out ------------------------------------------------------
 
 

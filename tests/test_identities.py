@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacobsthal_octonions import sequences
+from jacobsthal_octonions import identities, sequences
 from jacobsthal_octonions.errors import DomainError, UnknownVariantError
 from jacobsthal_octonions.identities import (
     BILINEAR_U,
@@ -17,6 +17,7 @@ from jacobsthal_octonions.identities import (
     value_to_json,
     verify,
     verify_range,
+    verify_ranges,
     _ALPHA_EPS_ROWS,
     _EPS_ALPHA_ROWS,
 )
@@ -177,6 +178,59 @@ def test_range_unknown_variant_propagates():
         verify_range(IdentityId.T1_SUM, CORRECTED, 0, 5)
 
 
+# --- verify_ranges: one pass for every variant ---------------------------------
+
+
+@pytest.mark.parametrize("identity", [IdentityId.T5_QUAD, IdentityId.T6_QUAD])
+def test_both_variants_cost_the_products_of_one(identity, octonion_products):
+    # The sides are evaluated once per index, so the left side's products
+    # are not repeated for the second variant.
+    counts = {}
+    for variants in ((PRINTED,), (CORRECTED,), (PRINTED, CORRECTED)):
+        octonion_products[0] = 0
+        verify_ranges(identity, variants, 30, 35)
+        counts[variants] = octonion_products[0]
+    assert counts[(PRINTED, CORRECTED)] == counts[(PRINTED,)] == counts[(CORRECTED,)] > 0
+
+
+@pytest.mark.parametrize("identity", [IdentityId.T5_QUAD, IdentityId.T6_QUAD])
+@pytest.mark.parametrize("n_from, n_to", [(0, 12), (3000, 3003)])
+def test_both_variant_reports_equal_single_variant_reports(identity, n_from, n_to):
+    both = verify_ranges(identity, (PRINTED, CORRECTED), n_from, n_to)
+    assert both == [verify_range(identity, PRINTED, n_from, n_to),
+                    verify_range(identity, CORRECTED, n_from, n_to)]
+    assert verify_ranges(identity, (CORRECTED, PRINTED), n_from, n_to) == both[::-1]
+    printed, corrected = both
+    assert corrected.passed and corrected.total_checked == n_to - n_from + 1
+    # T6's printed form holds at n = 0 only; T5's fails everywhere.
+    holds = {0} if identity is IdentityId.T6_QUAD else set()
+    assert [f.n for f in printed.failures] == [
+        n for n in range(n_from, n_to + 1) if n not in holds]
+
+
+def test_unknown_variant_raises_before_any_term(monkeypatch):
+    def no_terms(*args):
+        raise AssertionError("terms were built")
+
+    monkeypatch.setattr(identities, "_term_lists", no_terms)
+    with pytest.raises(UnknownVariantError, match="^E4 has no corrected variant$"):
+        verify_ranges(IdentityId.E4, (CORRECTED,), 0, 5)
+    with pytest.raises(UnknownVariantError, match="^E4 has no corrected variant$"):
+        verify_ranges(IdentityId.E4, (PRINTED, CORRECTED), 0, 5)
+
+
+def test_range_past_the_index_bound_is_refused_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(sequences, "_walk", no_walk)
+    monkeypatch.setattr(sequences, "_x_power", no_walk)
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000006"):
+        verify_ranges(IdentityId.T3_D, (PRINTED,), 1000005, 1000006)
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000001"):
+        verify(IdentityId.E4, PRINTED, 1000001)
+
+
 # --- run_suite -------------------------------------------------------------
 
 
@@ -193,6 +247,13 @@ def test_suite_with_corrected_rows():
     corrected = [r for r in reports if r.variant is CORRECTED]
     assert {r.identity for r in corrected} == {IdentityId.T5_QUAD, IdentityId.T6_QUAD}
     assert all(not r.failures for r in corrected)
+
+
+def test_suite_corrected_only():
+    reports = run_suite({CORRECTED}, 10)
+    assert [(r.identity, r.variant) for r in reports] == [
+        (IdentityId.T5_QUAD, CORRECTED), (IdentityId.T6_QUAD, CORRECTED)]
+    assert all(r.passed and r.total_checked == 11 for r in reports)
 
 
 def test_suite_at_zero():
