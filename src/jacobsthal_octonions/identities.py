@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Collection, Optional, Sequence, Union
 
-from .errors import DomainError, InconsistencyError, UnknownVariantError
+from .errors import DomainError, UnknownVariantError
 from .octonion import Octonion, ScaledOctonion, _decimal_str
 from .octonion_sequences import (
     ALPHA,
@@ -37,7 +37,7 @@ from .octonion_sequences import (
     OctonionSequenceKind,
     oct_seq_closed,
 )
-from .sequences import SCALAR_IDENTITIES, _term_lists, _Terms, correction
+from .sequences import SCALAR_IDENTITIES, _check_index, _term_lists, _Terms
 
 __all__ = [
     "IdentityId",
@@ -52,9 +52,6 @@ __all__ = [
     "verify_ranges",
     "run_suite",
     "closed_product",
-    "bilinear_product",
-    "BILINEAR_W",
-    "BILINEAR_U",
     "value_to_json",
 ]
 
@@ -77,9 +74,8 @@ class Variant(Enum):
 
 
 class ProductOrder(Enum):
-    """Operand order for the closed product forms and the scalar bilinear
-    expansion (octonions do not commute, so the two orders are distinct
-    identities)."""
+    """Operand order for the closed product forms (octonions do not
+    commute, so the two orders are distinct identities)."""
 
     LUCAS_TIMES_JACOBSTHAL = "jO_times_JO"
     JACOBSTHAL_TIMES_LUCAS = "JO_times_jO"
@@ -161,38 +157,6 @@ class RangeReport:
 
 
 # ---------------------------------------------------------------------------
-# bilinear scalar product expansion
-
-# W(m) folds the squared complex-root contribution a^2 w1^m + b^2 w2^m into
-# a period-3 rational; U(d) = w1^d + w2^d depends only on r - s mod 3.
-BILINEAR_W = {0: Fraction(-2, 3), 1: Fraction(-11, 3), 2: Fraction(13, 3)}
-BILINEAR_U = {0: 2, 1: -1, 2: -1}
-
-
-def bilinear_product(which: ProductOrder, n: int, r: int, s: int) -> int:
-    """49 times the scalar product JL3(n+r)*J3(n+s) (or the mirrored order)
-    evaluated through the period-3 expansion tables, not through the
-    sequences themselves.  The result must be an integer; a fractional
-    outcome means a table is wrong and raises."""
-    if n < 0 or r < 0 or s < 0:
-        raise DomainError(f"indices must be >= 0, got n={n}, r={r}, s={s}")
-    w = 3 * BILINEAR_W[(2 * n + r + s) % 3] + 7 * BILINEAR_U[(r - s) % 3]
-    if which is ProductOrder.LUCAS_TIMES_JACOBSTHAL:
-        value = (Fraction(2 ** (2 * n + 4 + r + s))
-                 - 2 ** (n + r + 3) * correction(n + s)
-                 + 3 * 2 ** (n + s + 1) * correction(n + r)
-                 - w)
-    else:
-        value = (Fraction(2 ** (2 * n + 4 + r + s))
-                 + 3 * 2 ** (n + r + 1) * correction(n + s)
-                 - 2 ** (n + s + 3) * correction(n + r)
-                 - w)
-    if value.denominator != 1:
-        raise InconsistencyError(f"bilinear product came out non-integral: {value}")
-    return value.numerator
-
-
-# ---------------------------------------------------------------------------
 # closed product forms
 
 # Coefficient polynomials a*4^n + b*2^n + c, one (a, b, c) per basis index,
@@ -226,6 +190,7 @@ def closed_product(order: ProductOrder, n: int) -> ScaledOctonion:
     n = 0 (mod 3): eight quadratic polynomials in 2^n over 49."""
     if n < 0 or n % 3 != 0:
         raise DomainError(f"closed products are defined for n = 0 (mod 3), got {n}")
+    _check_index(n)
     x = 2 ** n
     coefficients = tuple(a * x * x + b * x + c for (a, b, c) in _PRODUCT_POLYNOMIALS[order])
     return ScaledOctonion(Octonion(coefficients), 49)
@@ -321,10 +286,6 @@ class IdentityDescriptor:
     variants: tuple[Variant, ...] = (Variant.AS_PRINTED,)
     n_min: int = 0
     residue: Optional[int] = None
-
-    @property
-    def has_corrected(self) -> bool:
-        return Variant.CORRECTED in self.variants
 
     def in_domain(self, n: int) -> bool:
         if n < self.n_min:
@@ -465,9 +426,8 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
         sides = descriptor.sides(terms, n)
         checked += 1
         for variant, column, failed in zip(variants, columns, failures):
-            report = _check(identity, variant, n, sides[0], sides[column])
-            if not report.passed:
-                failed.append(report)
+            if sides[0] != sides[column]:
+                failed.append(_check(identity, variant, n, sides[0], sides[column]))
     return [RangeReport(
         identity=identity,
         variant=variant,

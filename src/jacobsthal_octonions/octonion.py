@@ -26,8 +26,6 @@ import re
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import InconsistencyError
-
 __all__ = [
     "SignedBasis",
     "MULTIPLICATION_TABLE",
@@ -145,15 +143,6 @@ class Octonion:
         self._c = c
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return cls((0,) * 8)
-
-    @classmethod
-    def one(cls) -> "Octonion":
-        """The multiplicative unit e0."""
-        return cls.basis(0)
-
-    @classmethod
     def basis(cls, s: int) -> "Octonion":
         """The basis unit e_s."""
         if not 0 <= s <= 7:
@@ -168,10 +157,6 @@ class Octonion:
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._c
-
-    @property
-    def real(self) -> int:
-        return self._c[0]
 
     def __getitem__(self, s: int) -> int:
         return self._c[s]
@@ -354,14 +339,6 @@ class ScaledOctonion:
 
     def is_integral(self) -> bool:
         return self._den == 1
-
-    def to_octonion(self) -> Octonion:
-        """The integer octonion this value equals; denominator must be 1."""
-        if self._den != 1:
-            raise InconsistencyError(
-                f"value is not integral, denominator {self._den} remains"
-            )
-        return self._num
 
     def to_json(self) -> dict:
         """Wire form: {"num": [...8 decimal strings...], "den": "7"}."""

@@ -19,9 +19,9 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice
 
-from .errors import DomainError, InconsistencyError
+from .errors import InconsistencyError
 from .octonion import Octonion
-from .sequences import SequenceKind, correction, seq_terms
+from .sequences import SequenceKind, _check_index, correction, seq_terms
 
 __all__ = [
     "OctonionSequenceKind",
@@ -76,8 +76,7 @@ def _exact_div7(p: Octonion) -> Octonion:
 
 def oct_seq_closed(kind: OctonionSequenceKind, n: int) -> Octonion:
     """The n-th octonion of ``kind`` by exact radical-free closed form."""
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
+    _check_index(n)
     if kind is OctonionSequenceKind.JACOBSTHAL:
         return _exact_div7(ALPHA * 2 ** (n + 1) - epsilon_hat(n))
     return _exact_div7(ALPHA * 2 ** (n + 3) + epsilon_hat(n) * 3)

@@ -16,10 +16,11 @@ transcription self-check.
 
 Negative indices are rejected everywhere: extending the recurrences
 backwards yields non-integer values for the Lucas-type sequence, so the
-domain is n >= 0 only.  ``seq_value`` and ``seq_terms`` also refuse an
-index past ``_MAX_INDEX``.  ``SCALAR_IDENTITIES`` holds one row per scalar
-identity, and ``scalar_identity_sides`` evaluates both sides of one; the
-identities that reference index n-3 therefore require n >= 3.
+domain is n >= 0 only.  Every function that computes a term, closed forms
+and partial sums included, also refuses an index past ``_MAX_INDEX``.
+``SCALAR_IDENTITIES`` holds one row per scalar identity, and
+``scalar_identity_sides`` evaluates both sides of one; the identities that
+reference index n-3 therefore require n >= 3.
 
 Every function here is pure.  ``seq_terms`` reaches its first index by
 powering and walks the recurrence on from there, holding only its last two
@@ -169,8 +170,7 @@ def seq_closed(kind: SequenceKind, n: int) -> int:
     """
     if kind not in THIRD_ORDER_KINDS:
         raise ValueError(f"closed form is defined for the third-order kinds, not {kind}")
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
+    _check_index(n)
     if kind is SequenceKind.THIRD_ORDER_JACOBSTHAL:
         numerator = 2 ** (n + 1) - correction(n)
     else:
@@ -185,8 +185,7 @@ def partial_sum(kind: SequenceKind, n: int) -> int:
     """The literal sum of terms 0..n of a third-order kind."""
     if kind not in THIRD_ORDER_KINDS:
         raise ValueError(f"partial sums are defined for the third-order kinds, not {kind}")
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
+    _check_index(n)
     return sum(islice(seq_terms(kind), n + 1))
 
 

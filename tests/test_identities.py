@@ -5,13 +5,10 @@ import pytest
 from jacobsthal_octonions import identities, sequences
 from jacobsthal_octonions.errors import DomainError, UnknownVariantError
 from jacobsthal_octonions.identities import (
-    BILINEAR_U,
-    BILINEAR_W,
     IdentityId,
     ProductOrder,
     REGISTRY,
     Variant,
-    bilinear_product,
     closed_product,
     run_suite,
     value_to_json,
@@ -28,7 +25,7 @@ from jacobsthal_octonions.octonion_sequences import (
     epsilon_hat,
     oct_seq,
 )
-from jacobsthal_octonions.sequences import SequenceKind, partial_sum, seq_value
+from jacobsthal_octonions.sequences import SequenceKind, partial_sum
 
 PRINTED = Variant.AS_PRINTED
 CORRECTED = Variant.CORRECTED
@@ -40,7 +37,7 @@ def test_registry_covers_every_id_in_order():
 
 
 def test_only_the_two_quadratic_ids_have_corrections():
-    with_corrected = {i for i in IdentityId if REGISTRY[i].has_corrected}
+    with_corrected = {i for i in IdentityId if Variant.CORRECTED in REGISTRY[i].variants}
     assert with_corrected == {IdentityId.T5_QUAD, IdentityId.T6_QUAD}
 
 
@@ -231,6 +228,22 @@ def test_range_past_the_index_bound_is_refused_before_any_walk(monkeypatch):
         verify(IdentityId.E4, PRINTED, 1000001)
 
 
+def test_range_builds_a_report_only_for_a_failing_index(monkeypatch):
+    built = []
+    check = identities._check
+
+    def counted(identity, variant, n, lhs, rhs):
+        built.append(n)
+        return check(identity, variant, n, lhs, rhs)
+
+    monkeypatch.setattr(identities, "_check", counted)
+    report = verify_range(IdentityId.T5_QUAD, CORRECTED, 3000, 3003)
+    assert report.passed and report.total_checked == 4
+    assert built == []
+    report = verify_range(IdentityId.T6_QUAD, PRINTED, 1, 4)
+    assert [f.n for f in report.failures] == built == [1, 2, 3, 4]
+
+
 # --- run_suite -------------------------------------------------------------
 
 
@@ -271,7 +284,7 @@ def test_suite_order_is_stable():
     assert first == second
 
 
-# --- closed products and the bilinear expansion ----------------------------
+# --- closed products --------------------------------------------------------
 
 
 def test_closed_product_values_at_zero():
@@ -300,33 +313,11 @@ def test_closed_product_domain():
         closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, -3)
 
 
-def test_bilinear_tables():
-    assert sum(BILINEAR_W.values()) == 0
-    assert BILINEAR_W[0] == Fraction(-2, 3)
-    assert BILINEAR_U == {0: 2, 1: -1, 2: -1}
-
-
-def test_bilinear_product_spot_values():
-    assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 0) == 0
-    assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, 0, 0, 1) == 98
-    assert bilinear_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, 0, 3, 3) == 980
-
-
-def test_bilinear_product_matches_sequences():
-    j3 = SequenceKind.THIRD_ORDER_JACOBSTHAL
-    jl3 = SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS
-    for n in range(0, 11):
-        for r in range(8):
-            for s in range(8):
-                direct_jj = 49 * seq_value(jl3, n + r) * seq_value(j3, n + s)
-                assert bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n, r, s) == direct_jj
-                direct_jj = 49 * seq_value(j3, n + r) * seq_value(jl3, n + s)
-                assert bilinear_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n, r, s) == direct_jj
-
-
-def test_bilinear_product_domain():
-    with pytest.raises(DomainError):
-        bilinear_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, -1, 0, 0)
+def test_closed_product_past_the_bound_is_refused():
+    # 10^6 + 2 is the first index past the bound in the product's domain.
+    for order in ProductOrder:
+        with pytest.raises(DomainError, match="must be <= 1000000, got 1000002"):
+            closed_product(order, 10 ** 6 + 2)
 
 
 # --- report serialization ---------------------------------------------------
@@ -351,7 +342,7 @@ def test_value_serialization_shapes():
     assert value_to_json(5) == "5"
     assert value_to_json(Fraction(10, 2)) == "5"
     assert value_to_json(Fraction(-9360, 49)) == {"num": "-9360", "den": "49"}
-    assert value_to_json(Octonion.zero()) == ["0"] * 8
+    assert value_to_json(Octonion((0,) * 8)) == ["0"] * 8
     scaled = ScaledOctonion(Octonion((1, 0, 0, 0, 0, 0, 0, 0)), 7)
     assert value_to_json(scaled) == {"num": ["1", "0", "0", "0", "0", "0", "0", "0"], "den": "7"}
     integral = ScaledOctonion(Octonion((7, 0, 0, 0, 0, 0, 0, 0)), 7)
@@ -361,7 +352,7 @@ def test_value_serialization_shapes():
 def test_descriptor_lookup():
     descriptor = REGISTRY[IdentityId.T4_PROD_JOJ]
     assert descriptor.residue == 0
-    assert not descriptor.has_corrected
+    assert Variant.CORRECTED not in descriptor.variants
     assert REGISTRY[IdentityId.OCT_REC].n_min == 1
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from jacobsthal_octonions.errors import InconsistencyError
 from jacobsthal_octonions.octonion import (
     MULTIPLICATION_TABLE,
     Octonion,
@@ -112,7 +111,7 @@ def test_product_matches_basis_expansion(bits, pairs):
         # p * p (one object) takes the squaring path; p times an equal but
         # distinct copy takes the general product.
         assert p * p == p * Octonion(p.coefficients)
-    zero = Octonion.zero()
+    zero = Octonion((0,) * 8)
     assert p * zero == zero * p == reference_product(p, zero) == zero
 
 
@@ -166,7 +165,7 @@ def test_add_sub_componentwise():
     rng = random.Random(7)
     p = random_octonion(rng)
     assert (p - p).is_zero()
-    assert -p + p == Octonion.zero()
+    assert -p + p == Octonion((0,) * 8)
 
 
 def test_sequence_octonion_sum():
@@ -178,7 +177,7 @@ def test_sequence_octonion_sum():
 def test_scalar_multiplication():
     rng = random.Random(8)
     p = random_octonion(rng)
-    assert 0 * p == Octonion.zero()
+    assert 0 * p == Octonion((0,) * 8)
     assert 1 * p == p
     assert p * 3 == Octonion(tuple(3 * x for x in p))
     jol0 = oct_seq(OctonionSequenceKind.JACOBSTHAL_LUCAS, 0)
@@ -192,7 +191,7 @@ def test_scalar_multiplication():
 
 def test_unit_law():
     rng = random.Random(9)
-    one = Octonion.one()
+    one = Octonion.basis(0)
     for _ in range(20):
         p = random_octonion(rng)
         assert one * p == p
@@ -231,7 +230,7 @@ def test_conjugate_basics():
 
 
 def test_norm_sq_values():
-    assert Octonion.zero().norm_sq() == 0
+    assert Octonion((0,) * 8).norm_sq() == 0
     assert oct_seq(OctonionSequenceKind.JACOBSTHAL, 0).norm_sq() == 1805
     assert oct_seq(OctonionSequenceKind.JACOBSTHAL_LUCAS, 0).norm_sq() == 28289
 
@@ -262,20 +261,20 @@ def test_scaled_normalization():
     p = ScaledOctonion(Octonion((2, 4, 6, 8, 10, 12, 14, 16)), 4)
     assert p.numerator == Octonion((1, 2, 3, 4, 5, 6, 7, 8))
     assert p.denominator == 2
-    zero = ScaledOctonion(Octonion.zero(), 30)
+    zero = ScaledOctonion(Octonion((0,) * 8), 30)
     assert zero.denominator == 1 and zero.is_zero()
 
 
 def test_scaled_denominator_must_be_positive():
     with pytest.raises(ValueError):
-        ScaledOctonion(Octonion.zero(), 0)
+        ScaledOctonion(Octonion((0,) * 8), 0)
     with pytest.raises(ValueError):
-        ScaledOctonion(Octonion.zero(), -7)
+        ScaledOctonion(Octonion((0,) * 8), -7)
 
 
 def test_scaled_denominator_rejects_bool():
     with pytest.raises(ValueError):
-        ScaledOctonion(Octonion.one(), True)
+        ScaledOctonion(Octonion.basis(0), True)
 
 
 def test_scaled_equality_is_cross_multiplied():
@@ -307,13 +306,6 @@ def test_scaled_product_matches_integer_product():
     # order is preserved when mixing with plain octonions
     assert p * ScaledOctonion(q, 5) == ScaledOctonion(p * q, 5)
     assert ScaledOctonion(p, 5) * q == ScaledOctonion(p * q, 5)
-
-
-def test_scaled_to_octonion_requires_integrality():
-    p = Octonion((1, 2, 3, 4, 5, 6, 7, 8))
-    assert ScaledOctonion(p * 2, 2).to_octonion() == p
-    with pytest.raises(InconsistencyError):
-        ScaledOctonion(p, 3).to_octonion()
 
 
 # --- serialization --------------------------------------------------------

@@ -45,6 +45,12 @@ def test_oct_seq_rejects_negative_index():
         oct_seq_closed(JOL, -2)
 
 
+@pytest.mark.parametrize("kind", [JO, JOL])
+def test_closed_form_past_the_bound_is_refused(kind):
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000001"):
+        oct_seq_closed(kind, 10 ** 6 + 1)
+
+
 def test_closed_form_equals_recurrence():
     for kind in (JO, JOL):
         for n in range(80):

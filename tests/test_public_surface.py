@@ -1,10 +1,36 @@
 """The package's public surface is exactly the union of its submodules'
-``__all__`` lists plus ``__version__``, and every listed name resolves."""
+``__all__`` lists plus ``__version__``, and every listed name resolves.
+No module imports a name that it neither uses nor exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import jacobsthal_octonions
 from jacobsthal_octonions import errors, identities, octonion, octonion_sequences, sequences
 
 SUBMODULES = (errors, identities, octonion, octonion_sequences, sequences)
+PACKAGE_DIR = Path(jacobsthal_octonions.__file__).parent
+
+# The whole surface; a name added or removed must be added or removed here.
+PUBLIC_NAMES = [
+    "ALPHA", "CORRECTION_TABLE", "DomainError", "EPSILON_HAT_ROWS",
+    "IdentityDescriptor", "IdentityId", "InconsistencyError",
+    "MULTIPLICATION_TABLE", "Octonion", "OctonionSequenceKind", "ProductOrder",
+    "REGISTRY", "RangeReport", "SCALAR_IDENTITIES", "ScaledOctonion",
+    "SequenceKind", "SignedBasis", "THIRD_ORDER_KINDS", "UnknownVariantError",
+    "Variant", "VerificationReport", "__version__", "basis_product",
+    "closed_product", "correction", "epsilon_hat", "oct_seq", "oct_seq_closed",
+    "partial_sum", "partial_sum_closed", "run_suite", "scalar_identity_sides",
+    "seq_closed", "seq_terms", "seq_value", "value_to_json", "verify",
+    "verify_range", "verify_ranges",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(jacobsthal_octonions.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 39
 
 
 def test_package_all_is_the_union_of_submodule_all():
@@ -26,3 +52,35 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from jacobsthal_octonions import *", namespace)
     assert set(jacobsthal_octonions.__all__) <= set(namespace)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by a module-level import of ``source`` that the
+    module never reads and does not list in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names
+                         if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= {item.value for item in ast.walk(node.value)
+                     if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_detector():
+    source = "from .a import kept, dropped\nimport os.path\n__all__ = ['kept']\n"
+    assert unused_imports(source) == ["dropped", "os"]
+    assert unused_imports("import os\nos.getcwd()\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

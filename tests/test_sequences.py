@@ -244,3 +244,19 @@ def test_index_past_the_bound_is_refused_before_any_work(kind, monkeypatch):
             seq_value(kind, n)
         with pytest.raises(DomainError, match="<= 1000000"):
             seq_terms(kind, n)
+
+
+@pytest.mark.parametrize("kind", THIRD_ORDER_KINDS)
+def test_closed_form_past_the_bound_is_refused(kind):
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000001"):
+        seq_closed(kind, sequences._MAX_INDEX + 1)
+
+
+@pytest.mark.parametrize("kind", THIRD_ORDER_KINDS)
+def test_partial_sum_past_the_bound_is_refused_before_any_walk(kind, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(sequences, "_walk", no_walk)
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000001"):
+        partial_sum(kind, sequences._MAX_INDEX + 1)
