@@ -32,7 +32,7 @@ from .identities import (
 )
 from .octonion import MULTIPLICATION_TABLE
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
-from .sequences import _MAX_INDEX, SequenceKind, seq_terms
+from .sequences import SequenceKind, _check_index, seq_terms
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -59,8 +59,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
-    if args.n_to > _MAX_INDEX:
-        raise UsageError(f"sequence index must be <= {_MAX_INDEX}, got {args.n_to}")
+    _check_index(args.n_to)
     kind = SequenceKind(args.kind)
     terms = islice(seq_terms(kind, args.n_from), args.n_to - args.n_from + 1)
     rows = [(n, value_to_json(x)) for n, x in enumerate(terms, args.n_from)]

@@ -1,7 +1,8 @@
 """Registry and verifier for every identity the package knows about.
 
-Each identity is one row of a table keyed by its name, holding its
-statement, its domain of validity and two independent computation paths:
+Each identity, scalar (between J3 and JL3) or octonion, is one row of a
+table keyed by its name, holding its statement, its domain of validity and
+two independent computation paths over the terms ``_term_lists`` builds:
 
 * the left side is always ground truth: recurrence-generated scalars
   combined with exact octonion arithmetic, never a closed form;
@@ -27,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Collection, Optional, Sequence, Union
+from itertools import accumulate, islice
+from typing import Callable, Collection, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, UnknownVariantError
 from .octonion import Octonion, ScaledOctonion, _decimal_str
@@ -35,9 +37,17 @@ from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
+    _period3_rows,
     oct_seq_closed,
 )
-from .sequences import SCALAR_IDENTITIES, _check_index, _term_lists, _Terms
+from .sequences import (
+    THIRD_ORDER_KINDS,
+    SequenceKind,
+    _check_index,
+    correction,
+    partial_sum_closed,
+    seq_terms,
+)
 
 __all__ = [
     "IdentityId",
@@ -58,6 +68,43 @@ __all__ = [
 # A verified value is an exact integer, an exact rational scalar, or an
 # exact (possibly rational) octonion.
 Value = Union[int, Fraction, Octonion, ScaledOctonion]
+
+
+class _Terms(NamedTuple):
+    """The J3 and JL3 terms and their running sums, indexed by term index:
+    j[n] = J3(n), j_sum[n] = J3(0) + ... + J3(n), and likewise l and l_sum
+    for JL3."""
+
+    j: list
+    l: list
+    j_sum: dict
+    l_sum: dict
+
+
+def _term_lists(n_from: int, n_to: int) -> _Terms:
+    """The terms and running sums that identity sides read for n in
+    [n_from, n_to], from one walk per kind.
+
+    No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
+    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The term entries
+    below n_from - 3 are None, so a far-off range holds O(n) bits per term
+    it reads rather than every term from 0.  The walk adds up the terms it
+    passes below that window into one int.  The sums are only read at an
+    index, never sliced, so they are dicts with no padding below it.  A
+    range that ends past the index bound is refused before any walk.
+    """
+    _check_index(n_to)
+    low = max(n_from - 3, 0)
+    terms, sums = [], []
+    for kind in THIRD_ORDER_KINDS:
+        walk = seq_terms(kind)
+        below = sum(islice(walk, low))
+        window = list(islice(walk, n_to + 11 - low))
+        terms.append([None] * low + window)
+        # Key low - 1 holds the sum below the window.
+        sums.append(dict(enumerate(accumulate(window, initial=below), low - 1)))
+    return _Terms(*terms, *sums)
+
 
 # The sides of one identity at index n from the J3 and JL3 terms and
 # running sums t that ``_term_lists`` builds: sides(t, n) is the left side,
@@ -208,23 +255,15 @@ _ALPHA_SQ = ALPHA * ALPHA
 _ALPHA_EPS_ROWS = tuple(ALPHA * eps for eps in EPSILON_HAT_ROWS)
 _EPS_ALPHA_ROWS = tuple(eps * ALPHA for eps in EPSILON_HAT_ROWS)
 
-# Period-3 right-hand octonion rows for the shift identities; row r applies
-# when n = r (mod 3).
-_JO_SHIFT4_ROWS = (
-    Octonion((1, -2, 1, 1, -2, 1, 1, -2)),
-    Octonion((-2, 1, 1, -2, 1, 1, -2, 1)),
-    Octonion((1, 1, -2, 1, 1, -2, 1, 1)),
-)
-_JOL_SHIFT4_ROWS = (
-    Octonion((-3, 6, -3, -3, 6, -3, -3, 6)),
-    Octonion((6, -3, -3, 6, -3, -3, 6, -3)),
-    Octonion((-3, -3, 6, -3, -3, 6, -3, -3)),
-)
-_JOL_MINUS_JO_SHIFT2_ROWS = (
-    Octonion((1, -1, 0, 1, -1, 0, 1, -1)),
-    Octonion((-1, 0, 1, -1, 0, 1, -1, 0)),
-    Octonion((0, 1, -1, 0, 1, -1, 0, 1)),
-)
+# Period-3 right sides of the shift identities, by n mod 3: EC5 and E8
+# read a pattern, and T1_SHIFT4, T2_SHIFT4 and T3_C the octonions built
+# from it.
+_JO_SHIFT4 = (1, -2, 1)
+_JOL_SHIFT4 = (-3, 6, -3)
+_JOL_MINUS_JO_SHIFT2 = (1, -1, 0)
+_JO_SHIFT4_ROWS = _period3_rows(_JO_SHIFT4)
+_JOL_SHIFT4_ROWS = _period3_rows(_JOL_SHIFT4)
+_JOL_MINUS_JO_SHIFT2_ROWS = _period3_rows(_JOL_MINUS_JO_SHIFT2)
 
 # Residue-split norm closed forms: (b, c) in a*4^n + b*2^n + c over 49.
 _JO_NORM_TAIL = {0: (1024, 41), 1: (4, 38), 2: (-1028, 33)}
@@ -293,11 +332,50 @@ class IdentityDescriptor:
         return self.residue is None or n % 3 == self.residue
 
 
-# Every identity, one row each, in report order: the scalar rows from
-# ``sequences`` first, then the octonion rows.
+# The scalar identities between J3 and JL3 in report order; rows that
+# reference index n-3 start at n = 3.  EC5, E6 and E8 have period-3 right
+# sides.
+_SCALAR_IDENTITIES = {
+    "E4": IdentityDescriptor(
+        "3*J3(n) + JL3(n) = 2^(n+1)",
+        lambda t, n: (3 * t.j[n] + t.l[n], 2 ** (n + 1))),
+    "E5": IdentityDescriptor(
+        "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
+        lambda t, n: (t.l[n] - 3 * t.j[n], 2 * t.l[n - 3]), n_min=3),
+    "EC5": IdentityDescriptor(
+        "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
+        lambda t, n: (t.j[n + 2] - 4 * t.j[n], _JO_SHIFT4[n % 3])),
+    "E6": IdentityDescriptor(
+        "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
+        lambda t, n: (t.l[n] - 4 * t.j[n], correction(n))),
+    "E7": IdentityDescriptor(
+        "JL3(n+1) + JL3(n) = 3*J3(n+2)",
+        lambda t, n: (t.l[n + 1] + t.l[n], 3 * t.j[n + 2])),
+    "E8": IdentityDescriptor(
+        "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
+        lambda t, n: (t.l[n] - t.j[n + 2], _JOL_MINUS_JO_SHIFT2[n % 3])),
+    "E9": IdentityDescriptor(
+        "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
+        lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
+    "E10": IdentityDescriptor(
+        "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
+        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
+    "E11": IdentityDescriptor(
+        "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
+        lambda t, n: (t.l_sum[n],
+                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
+    "E12": IdentityDescriptor(
+        "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
+        lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
+    "JSUM": IdentityDescriptor(
+        "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
+        lambda t, n: (t.j[n + 2] + t.j[n + 1] + t.j[n], 2 ** (n + 1))),
+}
+
+# Every identity, one row each, in report order: the scalar rows first,
+# then the octonion rows.
 _IDENTITIES: dict[str, IdentityDescriptor] = {
-    **{name: IdentityDescriptor(row.statement, row.sides, n_min=row.n_min)
-       for name, row in SCALAR_IDENTITIES.items()},
+    **_SCALAR_IDENTITIES,
     "OCT_REC": IdentityDescriptor(
         "octonion recurrence X(n+2) = X(n+1) + X(n) + 2*X(n-1) for JO and jO",
         _sides_oct_rec, n_min=1),

@@ -21,7 +21,7 @@ from itertools import islice
 
 from .errors import InconsistencyError
 from .octonion import Octonion
-from .sequences import SequenceKind, _check_index, correction, seq_terms
+from .sequences import CORRECTION_TABLE, SequenceKind, _check_index, seq_terms
 
 __all__ = [
     "OctonionSequenceKind",
@@ -48,9 +48,13 @@ _SCALAR_FOR = {
 # The closed-form constant alpha, with coefficient 2^s at basis index s.
 ALPHA = Octonion(tuple(2 ** s for s in range(8)))
 
-EPSILON_HAT_ROWS = tuple(
-    Octonion(tuple(correction(r + s) for s in range(8))) for r in range(3)
-)
+
+def _period3_rows(pattern: tuple[int, int, int]) -> tuple[Octonion, ...]:
+    """Row r, for n = r (mod 3), has coefficient s equal to pattern[(r + s) % 3]."""
+    return tuple(Octonion(tuple(pattern[(r + s) % 3] for s in range(8))) for r in range(3))
+
+
+EPSILON_HAT_ROWS = _period3_rows(CORRECTION_TABLE)
 
 
 def epsilon_hat(n: int) -> Octonion:

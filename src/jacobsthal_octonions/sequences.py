@@ -1,4 +1,4 @@
-"""Jacobsthal-family integer sequences and the scalar identities they obey.
+"""Jacobsthal-family integer sequences.
 
 Four sequences are generated, all by their defining recurrences over exact
 integers:
@@ -18,9 +18,9 @@ Negative indices are rejected everywhere: extending the recurrences
 backwards yields non-integer values for the Lucas-type sequence, so the
 domain is n >= 0 only.  Every function that computes a term, closed forms
 and partial sums included, also refuses an index past ``_MAX_INDEX``.
-``SCALAR_IDENTITIES`` holds one row per scalar identity, and
-``scalar_identity_sides`` evaluates both sides of one; the identities that
-reference index n-3 therefore require n >= 3.
+The scalar identities these sequences obey are rows of the identity table
+in ``identities``; ``scalar_identity_sides`` evaluates both sides of one
+through ``identities.verify``.
 
 Every function here is pure.  ``seq_terms`` reaches its first index by
 powering and walks the recurrence on from there, holding only its last two
@@ -31,8 +31,8 @@ call that computed it.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, islice
-from typing import Callable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterator
 
 from .errors import DomainError, InconsistencyError
 
@@ -46,7 +46,6 @@ __all__ = [
     "seq_closed",
     "partial_sum",
     "partial_sum_closed",
-    "SCALAR_IDENTITIES",
     "scalar_identity_sides",
 ]
 
@@ -194,113 +193,22 @@ def partial_sum_closed(kind: SequenceKind, n: int) -> int:
     dependent constant."""
     if kind not in THIRD_ORDER_KINDS:
         raise ValueError(f"partial sums are defined for the third-order kinds, not {kind}")
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
+    _check_index(n)
     nxt = seq_value(kind, n + 1)
     if kind is SequenceKind.THIRD_ORDER_JACOBSTHAL:
         return nxt - 1 if n % 3 == 0 else nxt
     return nxt + 1 if n % 3 == 0 else nxt - 2
 
 
-class _Terms(NamedTuple):
-    """The J3 and JL3 terms and their running sums, indexed by term index:
-    j[n] = J3(n), j_sum[n] = J3(0) + ... + J3(n), and likewise l and l_sum
-    for JL3."""
-
-    j: list
-    l: list
-    j_sum: dict
-    l_sum: dict
-
-
-def _term_lists(n_from: int, n_to: int) -> _Terms:
-    """The terms and running sums that identity sides read for n in
-    [n_from, n_to], from one walk per kind.
-
-    No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
-    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The term entries
-    below n_from - 3 are None, so a far-off range holds O(n) bits per term
-    it reads rather than every term from 0.  The walk adds up the terms it
-    passes below that window into one int.  The sums are only read at an
-    index, never sliced, so they are dicts with no padding below it.  A
-    range that ends past the index bound is refused before any walk.
-    """
-    _check_index(n_to)
-    low = max(n_from - 3, 0)
-    terms, sums = [], []
-    for kind in THIRD_ORDER_KINDS:
-        walk = seq_terms(kind)
-        below = sum(islice(walk, low))
-        window = list(islice(walk, n_to + 11 - low))
-        terms.append([None] * low + window)
-        # Key low - 1 holds the sum below the window.
-        sums.append(dict(enumerate(accumulate(window, initial=below), low - 1)))
-    return _Terms(*terms, *sums)
-
-
-class ScalarIdentity(NamedTuple):
-    """One scalar identity: its statement, both sides as exact integers
-    from the term lists and the index, ``sides(t, n)`` with ``t`` from
-    ``_term_lists`` (the left side always from recurrence-generated values),
-    and the least index at which every term it references exists."""
-
-    statement: str
-    sides: Callable[[_Terms, int], tuple[int, int]]
-    n_min: int = 0
-
-
-# The scalar identities in report order; rows that reference index n-3
-# start at n = 3.  EC5, E6 and E8 have period-3 right sides.
-SCALAR_IDENTITIES = {
-    "E4": ScalarIdentity(
-        "3*J3(n) + JL3(n) = 2^(n+1)",
-        lambda t, n: (3 * t.j[n] + t.l[n], 2 ** (n + 1))),
-    "E5": ScalarIdentity(
-        "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
-        lambda t, n: (t.l[n] - 3 * t.j[n], 2 * t.l[n - 3]), n_min=3),
-    "EC5": ScalarIdentity(
-        "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
-        lambda t, n: (t.j[n + 2] - 4 * t.j[n], -2 if n % 3 == 1 else 1)),
-    "E6": ScalarIdentity(
-        "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
-        lambda t, n: (t.l[n] - 4 * t.j[n], correction(n))),
-    "E7": ScalarIdentity(
-        "JL3(n+1) + JL3(n) = 3*J3(n+2)",
-        lambda t, n: (t.l[n + 1] + t.l[n], 3 * t.j[n + 2])),
-    "E8": ScalarIdentity(
-        "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
-        lambda t, n: (t.l[n] - t.j[n + 2], (1, -1, 0)[n % 3])),
-    "E9": ScalarIdentity(
-        "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
-        lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
-    "E10": ScalarIdentity(
-        "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
-    "E11": ScalarIdentity(
-        "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
-        lambda t, n: (t.l_sum[n],
-                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
-    "E12": ScalarIdentity(
-        "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
-        lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
-    "JSUM": ScalarIdentity(
-        "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
-        lambda t, n: (t.j[n + 2] + t.j[n + 1] + t.j[n], 2 ** (n + 1))),
-}
-
-
 def scalar_identity_sides(identity, n: int) -> tuple[int, int]:
-    """Both sides of a scalar identity at index n, evaluated exactly.
+    """Both sides of a scalar identity at index n, as ``verify`` reports
+    them for its printed variant.  ``identity`` is the name of a scalar row
+    of the identity table, or an enum member with that ``name``."""
+    # Imported here, not at the top: ``identities`` imports this module.
+    from .identities import _SCALAR_IDENTITIES, IdentityId, Variant, verify
 
-    ``identity`` is one of the names in SCALAR_IDENTITIES (an enum member
-    with that ``name`` is accepted too).  Returns (lhs, rhs) rather than a
-    boolean so that a discrepancy report can carry the witness values.
-    """
     name = getattr(identity, "name", identity)
-    try:
-        row = SCALAR_IDENTITIES[name]
-    except KeyError:
-        raise ValueError(f"unknown scalar identity {name!r}") from None
-    if n < row.n_min:
-        raise DomainError(f"identity {name} is defined for n >= {row.n_min}, got {n}")
-    return row.sides(_term_lists(n, n), n)
+    if name not in _SCALAR_IDENTITIES:
+        raise ValueError(f"unknown scalar identity {name!r}")
+    report = verify(IdentityId[name], Variant.AS_PRINTED, n)
+    return report.lhs, report.rhs

@@ -36,6 +36,12 @@ def test_registry_covers_every_id_in_order():
     assert len(REGISTRY) == 28
 
 
+def test_every_row_is_defined_in_identities():
+    # One table: no row's sides come from another module.
+    for identity, descriptor in REGISTRY.items():
+        assert descriptor.sides.__module__ == "jacobsthal_octonions.identities", identity
+
+
 def test_only_the_two_quadratic_ids_have_corrections():
     with_corrected = {i for i in IdentityId if Variant.CORRECTED in REGISTRY[i].variants}
     assert with_corrected == {IdentityId.T5_QUAD, IdentityId.T6_QUAD}
@@ -382,14 +388,14 @@ def test_partial_sum_rows_walk_each_term_once(monkeypatch):
     # The left side reads the running sum of one walk per range; re-walking
     # 0..n at every n would yield about two million terms here.
     yielded = [0]
-    walk = sequences.seq_terms
+    walk = identities.seq_terms
 
     def counting(kind, start=0):
         for x in walk(kind, start):
             yielded[0] += 1
             yield x
 
-    monkeypatch.setattr(sequences, "seq_terms", counting)
+    monkeypatch.setattr(identities, "seq_terms", counting)
     for identity in (IdentityId.E10, IdentityId.E11):
         yielded[0] = 0
         report = verify_range(identity, PRINTED, 0, 2000)

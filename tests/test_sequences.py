@@ -11,8 +11,8 @@ import pytest
 import jacobsthal_octonions
 from jacobsthal_octonions import sequences
 from jacobsthal_octonions.errors import DomainError
+from jacobsthal_octonions.identities import _SCALAR_IDENTITIES
 from jacobsthal_octonions.sequences import (
-    SCALAR_IDENTITIES,
     SequenceKind,
     THIRD_ORDER_KINDS,
     correction,
@@ -129,9 +129,9 @@ def test_identity_sides_spot_values():
     assert scalar_identity_sides("E8", 1) == (-1, -1)
 
 
-@pytest.mark.parametrize("name", SCALAR_IDENTITIES)
+@pytest.mark.parametrize("name", _SCALAR_IDENTITIES)
 def test_identity_sides_agree_over_range(name):
-    for n in range(SCALAR_IDENTITIES[name].n_min, 200):
+    for n in range(_SCALAR_IDENTITIES[name].n_min, 200):
         lhs, rhs = scalar_identity_sides(name, n)
         assert lhs == rhs, f"{name} differs at n={n}: {lhs} != {rhs}"
 
@@ -149,8 +149,10 @@ def test_identity_sides_accept_enum_like_ids():
 
 
 def test_identity_sides_unknown_name():
-    with pytest.raises(ValueError):
-        scalar_identity_sides("E99", 0)
+    # An octonion row is not a scalar identity either.
+    for name in ("E99", "T1_SUM"):
+        with pytest.raises(ValueError):
+            scalar_identity_sides(name, 0)
 
 
 def test_concurrent_generation_is_consistent():
@@ -260,3 +262,6 @@ def test_partial_sum_past_the_bound_is_refused_before_any_walk(kind, monkeypatch
     monkeypatch.setattr(sequences, "_walk", no_walk)
     with pytest.raises(DomainError, match="must be <= 1000000, got 1000001"):
         partial_sum(kind, sequences._MAX_INDEX + 1)
+    # The closed form names the index it was given, not the n + 1 it reads.
+    with pytest.raises(DomainError, match="must be <= 1000000, got 1000001$"):
+        partial_sum_closed(kind, sequences._MAX_INDEX + 1)
