@@ -18,21 +18,15 @@ import argparse
 import json
 import sys
 from itertools import islice
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, UnknownVariantError
-from .identities import (
-    REGISTRY,
-    IdentityId,
-    RangeReport,
-    Variant,
-    run_suite,
-    value_to_json,
-    verify_ranges,
-)
-from .octonion import MULTIPLICATION_TABLE
+from .octonion import MULTIPLICATION_TABLE, _decimal_str
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
+
+if TYPE_CHECKING:
+    from .identities import RangeReport
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -62,7 +56,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     _check_index(args.n_to)
     kind = SequenceKind(args.kind)
     terms = islice(seq_terms(kind, args.n_from), args.n_to - args.n_from + 1)
-    rows = [(n, value_to_json(x)) for n, x in enumerate(terms, args.n_from)]
+    rows = [(n, _decimal_str(x)) for n, x in enumerate(terms, args.n_from)]
     if args.format == "json":
         text = json.dumps([{"n": n, "value": v} for n, v in rows], indent=2) + "\n"
     elif args.format == "csv":
@@ -130,6 +124,9 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
+    # Only verify loads the identity table: seq, oct and mul-table never read it.
+    from .identities import REGISTRY, IdentityId, Variant, run_suite, verify_ranges
+
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
     if args.all:
@@ -154,6 +151,8 @@ def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
 
 
 def _format_reports(reports: list[RangeReport], fmt: str) -> str:
+    from .identities import value_to_json
+
     if fmt == "json":
         return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     if fmt == "csv":
@@ -236,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="one identity id, e.g. E4 or T5_QUAD")
     target.add_argument("--all", action="store_true",
                         help="verify every registered identity")
-    p_ver.add_argument("--variant", choices=[*(v.value for v in Variant), "both"],
+    # The Variant values, spelled out so that parsing loads no identity table.
+    p_ver.add_argument("--variant", choices=["printed", "corrected", "both"],
                        default="printed",
                        help="which form to check (default: printed)")
     p_ver.add_argument("--from", dest="n_from", type=int, default=0,

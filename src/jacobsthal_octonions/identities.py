@@ -25,12 +25,12 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Callable, Collection, NamedTuple, Optional, Sequence, Union
 
+from . import _IDENTITIES_ALL
 from .errors import DomainError, UnknownVariantError
 from .octonion import Octonion, ScaledOctonion, _decimal_str
 from .octonion_sequences import (
@@ -49,21 +49,9 @@ from .sequences import (
     seq_terms,
 )
 
-__all__ = [
-    "IdentityId",
-    "Variant",
-    "ProductOrder",
-    "IdentityDescriptor",
-    "VerificationReport",
-    "RangeReport",
-    "REGISTRY",
-    "verify",
-    "verify_range",
-    "verify_ranges",
-    "run_suite",
-    "closed_product",
-    "value_to_json",
-]
+# The package lists the public names, so that it can resolve them before
+# it loads this module.
+__all__ = list(_IDENTITIES_ALL)
 
 # A verified value is an exact integer, an exact rational scalar, or an
 # exact (possibly rational) octonion.
@@ -133,8 +121,9 @@ class ProductOrder(Enum):
 
 def value_to_json(value: Value):
     """Serialize an exact value: integers as decimal strings, octonions as
-    8-string arrays, non-integral rationals as {"num": ..., "den": ...}."""
-    if isinstance(value, int):
+    8-string arrays, non-integral rationals as {"num": ..., "den": ...}.
+    A bool is an int subclass but not a value, and is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return _decimal_str(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -152,8 +141,7 @@ def value_to_json(value: Value):
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one identity variant at one index, with exact
     witness values; ``passed`` holds exactly when ``delta`` is zero."""
 
@@ -174,8 +162,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(NamedTuple):
     """Aggregate of ``verify`` over [n_from, n_to]; indices outside the
     identity's domain are listed in ``skipped``, never failed."""
 
@@ -313,8 +300,7 @@ def _sides_t6(t: _Terms, n: int):
             ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti) * 2 ** (n + 1), 7))
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
     ``sides``) and its domain, n >= n_min and, when ``residue`` is set,

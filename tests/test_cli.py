@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 from jacobsthal_octonions import cli, sequences
 from jacobsthal_octonions.cli import main
 from jacobsthal_octonions.errors import InconsistencyError
+from jacobsthal_octonions.identities import Variant
 from jacobsthal_octonions.octonion import basis_product
 
 
@@ -130,6 +132,15 @@ def test_mul_table_json_consistent_with_basis_product(capsys):
 
 
 # --- verify -------------------------------------------------------------------
+
+
+def test_variant_choices_are_the_variant_values_and_both():
+    parser = cli.build_parser()
+    (verify_parser,) = (action.choices["verify"] for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+    (variant,) = (action for action in verify_parser._actions if action.dest == "variant")
+    assert list(variant.choices) == [v.value for v in Variant] + ["both"]
+    assert variant.default == Variant.AS_PRINTED.value
 
 
 def test_verify_single_identity_passes(capsys):

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,25 @@ def test_value_serialization_shapes():
     assert value_to_json(scaled) == {"num": ["1", "0", "0", "0", "0", "0", "0", "0"], "den": "7"}
     integral = ScaledOctonion(Octonion((7, 0, 0, 0, 0, 0, 0, 0)), 7)
     assert value_to_json(integral) == ["1", "0", "0", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_value_serialization_refuses_a_bool(value):
+    with pytest.raises(TypeError, match="bool"):
+        value_to_json(value)
+
+
+@pytest.mark.parametrize("record, field", [
+    (verify(IdentityId.T6_QUAD, PRINTED, 1), "passed"),
+    (verify_range(IdentityId.T6_QUAD, PRINTED, 0, 3), "failures"),
+    (REGISTRY[IdentityId.T5_QUAD], "variants"),
+], ids=["VerificationReport", "RangeReport", "IdentityDescriptor"])
+def test_records_are_immutable_and_hashable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0
+    assert hash(record) == hash(copy.copy(record))
 
 
 def test_descriptor_lookup():
