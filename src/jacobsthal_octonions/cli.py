@@ -26,7 +26,7 @@ from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
 
 if TYPE_CHECKING:
-    from .identities import RangeReport
+    from .identities import IdentityId, RangeReport, Variant
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -123,9 +123,9 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
+def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, Sequence[Variant]]]:
     # Only verify loads the identity table: seq, oct and mul-table never read it.
-    from .identities import REGISTRY, IdentityId, Variant, run_suite, verify_ranges
+    from .identities import REGISTRY, IdentityId, Variant, _suite_targets
 
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
@@ -133,21 +133,31 @@ def _verify_reports(args: argparse.Namespace) -> list[RangeReport]:
         if args.variant == "corrected":
             raise UsageError("--variant corrected needs a single --identity; "
                              "use --variant both with --all")
-        variants = set(Variant) if args.variant == "both" else {Variant.AS_PRINTED}
-        return run_suite(variants, args.n_to, args.n_from)
+        return _suite_targets(set(Variant) if args.variant == "both" else {Variant.AS_PRINTED})
     try:
         identity = IdentityId[args.identity]
     except KeyError:
         raise UsageError(f"unknown identity {args.identity!r}; known ids: "
                          + ", ".join(i.name for i in IdentityId)) from None
     if args.variant == "both":
-        variants = REGISTRY[identity].variants
-    else:
-        variants = (Variant(args.variant),)
-    try:
-        return verify_ranges(identity, variants, args.n_from, args.n_to)
-    except UnknownVariantError as exc:
-        raise UsageError(str(exc)) from None
+        return [(identity, REGISTRY[identity].variants)]
+    return [(identity, (Variant(args.variant),))]
+
+
+def _counts(identity: IdentityId, variants: Sequence[Variant],
+            n_from: int, n_to: int) -> list[tuple]:
+    """The csv row of each variant's report, from counts alone: no report
+    is built and no delta computed, so a range holds no witness."""
+    from .identities import _evaluations
+
+    checked = 0
+    failed = [0] * len(variants)
+    for _, _, failing in _evaluations(identity, variants, n_from, n_to):
+        checked += 1
+        for i, _ in failing:
+            failed[i] += 1
+    return [(identity.name, variant.value, n_from, n_to, checked,
+             n_to - n_from + 1 - checked, count) for variant, count in zip(variants, failed)]
 
 
 def _format_reports(reports: list[RangeReport], fmt: str) -> str:
@@ -155,13 +165,6 @@ def _format_reports(reports: list[RangeReport], fmt: str) -> str:
 
     if fmt == "json":
         return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
-    if fmt == "csv":
-        lines = [
-            f"{r.identity.name},{r.variant.value},{r.n_from},{r.n_to},"
-            f"{r.total_checked},{len(r.skipped)},{len(r.failures)}"
-            for r in reports
-        ]
-        return "\n".join(lines) + "\n"
     lines = []
     for r in reports:
         status = "ok" if r.passed else "FAIL"
@@ -180,14 +183,28 @@ def _format_reports(reports: list[RangeReport], fmt: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = _verify_reports(args)
-    _emit(_format_reports(reports, args.format), args.out)
-    for r in reports:
-        if not r.total_checked:
-            print(f"j3o: warning: {r.identity.name} {r.variant.value} "
-                  f"[{r.n_from},{r.n_to}]: nothing checked, no index is in "
-                  f"the identity's domain", file=sys.stderr)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_DISCREPANCY
+    from .identities import verify_ranges
+
+    targets = _verify_targets(args)
+    try:
+        if args.format == "csv":
+            rows = [row for identity, variants in targets
+                    for row in _counts(identity, variants, args.n_from, args.n_to)]
+            text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        else:
+            reports = [report for identity, variants in targets
+                       for report in verify_ranges(identity, variants, args.n_from, args.n_to)]
+            text = _format_reports(reports, args.format)
+            rows = [(r.identity.name, r.variant.value, r.n_from, r.n_to, r.total_checked,
+                     len(r.skipped), len(r.failures)) for r in reports]
+    except UnknownVariantError as exc:
+        raise UsageError(str(exc)) from None
+    _emit(text, args.out)
+    for name, variant, n_from, n_to, checked, _, _ in rows:
+        if not checked:
+            print(f"j3o: warning: {name} {variant} [{n_from},{n_to}]: nothing checked, "
+                  f"no index is in the identity's domain", file=sys.stderr)
+    return EXIT_DISCREPANCY if any(row[-1] for row in rows) else EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

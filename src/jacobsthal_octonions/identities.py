@@ -14,8 +14,12 @@ two independent computation paths over the terms ``_term_lists`` builds:
 values; ``verify_ranges`` (``verify_range`` for one variant) and
 ``run_suite`` aggregate over index ranges, evaluating each left side once
 for every variant and recording out-of-domain indices as skips, never as
-failures.  There are no tolerances anywhere: passed means the delta is
-exactly zero.
+failures.  A range is walked from n_from - 3, a chunk of indices at a
+time, so it holds O(n) bits of terms at index n, and it builds a report
+only for a failing index.  ``_evaluations`` is that walk: a caller that
+needs only counts, such as ``j3o verify --format csv``, reads it and
+keeps no report.  There are no tolerances anywhere: passed means the
+delta is exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
 variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
@@ -28,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Callable, Collection, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _IDENTITIES_ALL
 from .errors import DomainError, UnknownVariantError
@@ -59,9 +63,9 @@ Value = Union[int, Fraction, Octonion, ScaledOctonion]
 
 
 class _Terms(NamedTuple):
-    """The J3 and JL3 terms and their running sums, indexed by term index:
-    j[n] = J3(n), j_sum[n] = J3(0) + ... + J3(n), and likewise l and l_sum
-    for JL3."""
+    """The J3 and JL3 terms and their running sums that one chunk of a
+    range reads, indexed by term index: j[n] = J3(n), j_sum[n] = J3(0) +
+    ... + J3(n), and likewise l and l_sum for JL3."""
 
     j: list
     l: list
@@ -69,35 +73,80 @@ class _Terms(NamedTuple):
     l_sum: dict
 
 
-def _term_lists(n_from: int, n_to: int) -> _Terms:
-    """The terms and running sums that identity sides read for n in
-    [n_from, n_to], from one walk per kind.
+# Indices a chunk of a range evaluates: it holds the terms of _CHUNK + 13
+# indices per kind, however long the range.  Each chunk costs a few list
+# operations, so any size from 32 to 256 runs a suite equally fast; a
+# small one keeps a deep range's window of n-bit terms small.
+_CHUNK = 64
+
+
+def _running_sum(kind: SequenceKind, n: int) -> int:
+    """J3(0) + ... + J3(n), or the same for JL3, and 0 for n = -1.
+
+    The running sum S obeys its own recurrence S(n+4) = 2*S(n+3) + S(n+1) -
+    2*S(n), whose polynomial (x - 1)(x^3 - x^2 - x - 2) = x^4 - 2x^3 - x + 2
+    adds the root 1 to those of the terms.  So S(n) is reached like a term:
+    x^n modulo that polynomial by square-and-multiply, applied to S(0..3).
+    This stays the recurrence path; the closed form is the right side."""
+    if n < 0:
+        return 0
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for bit in bin(n)[2:]:
+        d = [c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * (c0 * c3 + c1 * c2),
+             c2 * c2 + 2 * c1 * c3, 2 * c2 * c3, c3 * c3]
+        if bit == "1":
+            d.insert(0, 0)
+        # x^k = x^(k-4) * (2x^3 + x - 2), from the top coefficient down.
+        for k in range(len(d) - 1, 3, -1):
+            top = d.pop()
+            d[k - 1] += 2 * top
+            d[k - 3] += top
+            d[k - 4] -= 2 * top
+        c0, c1, c2, c3 = d
+    seeds = accumulate(islice(seq_terms(kind), 4))
+    return sum(c * s for c, s in zip((c0, c1, c2, c3), seeds))
+
+
+def _term_lists(n_from: int, n_to: int) -> Iterator[tuple[range, _Terms]]:
+    """The indices of [n_from, n_to] a chunk at a time, each with the terms
+    and running sums that identity sides read at them.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
-    last coefficient of JO(n+3) in T3_A and T5_QUAD).  The term entries
-    below n_from - 3 are None, so a far-off range holds O(n) bits per term
-    it reads rather than every term from 0.  The walk adds up the terms it
-    passes below that window into one int.  The sums are only read at an
-    index, never sliced, so they are dicts with no padding below it.  A
-    range that ends past the index bound is refused before any walk.
+    last coefficient of JO(n+3) in T3_A and T5_QUAD).  Each kind is walked
+    once, from n_from - 3, which powering reaches directly, and its running
+    sum starts from the sum below n_from, reached the same way.  The term
+    lists keep their absolute indices, so sides read them with no offset:
+    they are one list per kind, None outside the current chunk's window, so
+    a range holds O(n) bits of terms at index n rather than every term it
+    passed.  The sums are only read at an index, never sliced, so they are
+    one dict per chunk.  A range that ends past the index bound is refused
+    before any walk.
     """
     _check_index(n_to)
     low = max(n_from - 3, 0)
-    terms, sums = [], []
-    for kind in THIRD_ORDER_KINDS:
-        walk = seq_terms(kind)
-        below = sum(islice(walk, low))
-        window = list(islice(walk, n_to + 11 - low))
-        terms.append([None] * low + window)
-        # Key low - 1 holds the sum below the window.
-        sums.append(dict(enumerate(accumulate(window, initial=below), low - 1)))
-    return _Terms(*terms, *sums)
+    lists = [[None] * (n_to + 11) for _ in THIRD_ORDER_KINDS]
+    walks = [seq_terms(kind, low) for kind in THIRD_ORDER_KINDS]
+    sums = [_running_sum(kind, n_from - 1) for kind in THIRD_ORDER_KINDS]
+    cleared = filled = low
+    for first in range(n_from, n_to + 1, _CHUNK):
+        end = min(first + _CHUNK, n_to + 1)
+        keep = max(first - 3, 0)
+        chunk_sums = []
+        for i, (terms, walk) in enumerate(zip(lists, walks)):
+            terms[cleared:keep] = [None] * (keep - cleared)
+            terms[filled:end + 10] = islice(walk, end + 10 - filled)
+            running = dict(enumerate(accumulate(terms[first:end], initial=sums[i]), first - 1))
+            sums[i] = running[end - 1]
+            chunk_sums.append(running)
+        cleared, filled = keep, end + 10
+        yield range(first, end), _Terms(*lists, *chunk_sums)
 
 
 # The sides of one identity at index n from the J3 and JL3 terms and
-# running sums t that ``_term_lists`` builds: sides(t, n) is the left side,
-# then one right side per variant of the identity, in the order of its
-# ``variants``: (lhs, rhs_printed) or (lhs, rhs_printed, rhs_corrected).
+# running sums t of the chunk that ``_term_lists`` yields for n:
+# sides(t, n) is the left side, then one right side per variant of the
+# identity, in the order of its ``variants``: (lhs, rhs_printed) or
+# (lhs, rhs_printed, rhs_corrected).
 Sides = Callable[[_Terms, int], tuple[Value, ...]]
 
 
@@ -464,8 +513,26 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    sides = descriptor.sides(_term_lists(n, n), n)
+    ((_, terms),) = _term_lists(n, n)
+    sides = descriptor.sides(terms, n)
     return _check(identity, variant, n, sides[0], sides[column])
+
+
+def _evaluations(identity: IdentityId, variants: Sequence[Variant],
+                 n_from: int, n_to: int) -> Iterator[tuple[int, Value, list[tuple[int, Value]]]]:
+    """(n, lhs, failing) for each n in [n_from, n_to] in the domain of
+    ``identity``, in order: the sides are evaluated once, and ``failing``
+    pairs the position in ``variants`` of each variant whose right side
+    differs from lhs with that right side.  Nothing else is kept, so a
+    caller holds what it keeps of these and one chunk of terms."""
+    columns = _columns(identity, variants)
+    descriptor = REGISTRY[identity]
+    for indices, terms in _term_lists(n_from, n_to):
+        for n in indices:
+            if descriptor.in_domain(n):
+                sides = descriptor.sides(terms, n)
+                yield n, sides[0], [(i, sides[column]) for i, column in enumerate(columns)
+                                    if sides[0] != sides[column]]
 
 
 def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
@@ -477,28 +544,21 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
     index, so the left side is shared by every variant."""
     if n_from < 0 or n_to < n_from:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    columns = _columns(identity, variants)
-    descriptor = REGISTRY[identity]
-    terms = _term_lists(n_from, n_to)
-    skipped: list[int] = []
     failures: list[list[VerificationReport]] = [[] for _ in variants]
     checked = 0
-    for n in range(n_from, n_to + 1):
-        if not descriptor.in_domain(n):
-            skipped.append(n)
-            continue
-        sides = descriptor.sides(terms, n)
+    for n, lhs, failing in _evaluations(identity, variants, n_from, n_to):
         checked += 1
-        for variant, column, failed in zip(variants, columns, failures):
-            if sides[0] != sides[column]:
-                failed.append(_check(identity, variant, n, sides[0], sides[column]))
+        for i, rhs in failing:
+            failures[i].append(_check(identity, variants[i], n, lhs, rhs))
+    descriptor = REGISTRY[identity]
+    skipped = tuple(n for n in range(n_from, n_to + 1) if not descriptor.in_domain(n))
     return [RangeReport(
         identity=identity,
         variant=variant,
         n_from=n_from,
         n_to=n_to,
         total_checked=checked,
-        skipped=tuple(skipped),
+        skipped=skipped,
         failures=tuple(failed),
     ) for variant, failed in zip(variants, failures)]
 
@@ -509,6 +569,17 @@ def verify_range(identity: IdentityId, variant: Variant,
     return verify_ranges(identity, (variant,), n_from, n_to)[0]
 
 
+def _suite_targets(variants: Collection[Variant]) -> list[tuple[IdentityId, list[Variant]]]:
+    """Every registered identity that has one of ``variants``, in registry
+    order, with those of them that it has, in its own order."""
+    targets = []
+    for identity, descriptor in REGISTRY.items():
+        wanted = [variant for variant in descriptor.variants if variant in variants]
+        if wanted:
+            targets.append((identity, wanted))
+    return targets
+
+
 def run_suite(variants: Collection[Variant], n_to: int,
               n_from: int = 0) -> list[RangeReport]:
     """Run every registered identity over [n_from, n_to] in each of
@@ -516,9 +587,5 @@ def run_suite(variants: Collection[Variant], n_to: int,
     Ordering is fixed so suite outputs diff cleanly across runs."""
     if n_to < 0:
         raise ValueError(f"n_to must be >= 0, got {n_to}")
-    reports: list[RangeReport] = []
-    for identity, descriptor in REGISTRY.items():
-        wanted = [variant for variant in descriptor.variants if variant in variants]
-        if wanted:
-            reports += verify_ranges(identity, wanted, n_from, n_to)
-    return reports
+    return [report for identity, wanted in _suite_targets(variants)
+            for report in verify_ranges(identity, wanted, n_from, n_to)]

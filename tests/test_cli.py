@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,7 +9,7 @@ import sys
 
 import pytest
 
-from jacobsthal_octonions import cli, sequences
+from jacobsthal_octonions import cli, identities, sequences
 from jacobsthal_octonions.cli import main
 from jacobsthal_octonions.errors import InconsistencyError
 from jacobsthal_octonions.identities import Variant
@@ -259,6 +261,95 @@ def test_verify_range_past_the_bound_exits_2_before_any_walk(capsys, monkeypatch
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == "j3o: error: sequence index must be <= 1000000, got 1000006\n"
+
+
+# --- csv: counts only ------------------------------------------------------------
+
+
+def csv_counts(out):
+    """(id, variant) -> (checked, skipped, failures) of a csv report."""
+    rows = [line.split(",") for line in out.splitlines()]
+    return {(i, v): tuple(map(int, rest[2:])) for i, v, *rest in rows}
+
+
+def json_counts(out):
+    return {(r["id"], r["variant"]): (r["checked"], len(r["skipped"]), len(r["failures"]))
+            for r in json.loads(out)}
+
+
+def test_csv_builds_no_report_and_counts_what_json_reports(capsys, monkeypatch):
+    built = []
+    check = identities._check
+
+    def counted(*args):
+        built.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(identities, "_check", counted)
+    argv = ["verify", "--all", "--variant", "both", "--to", "30"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and built == []
+    code_json, out_json, _ = run(capsys, *argv, "--format", "json")
+    assert code_json == 1 and built
+    assert csv_counts(out) == json_counts(out_json)
+    assert csv_counts(out)["T5_QUAD", "printed"] == (31, 0, 31)
+
+
+def test_csv_of_a_printed_quadratic_row_holds_no_witnesses():
+    # A fresh interpreter, so that the peak is this request's own.  Keeping
+    # the 1,501 failing reports, each with its exact lhs, rhs and delta,
+    # peaks near 9.5 MB; counting them stays near the failure-free variant.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = ("import contextlib, io, tracemalloc\n"
+             "from jacobsthal_octonions.cli import main\n"
+             "tracemalloc.start()\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    code = main(['verify', '--identity', 'T5_QUAD', '--to', '1500',"
+             " '--format', 'csv'])\n"
+             "print(code, out.getvalue().strip(), tracemalloc.get_traced_memory()[1])\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, line, peak = result.stdout.split()
+    assert (code, line) == ("1", "T5_QUAD,printed,0,1500,1501,0,1501")
+    assert int(peak) < 4 * 2 ** 20
+
+
+def test_argv_fuzz_exits_cleanly_and_csv_agrees_with_json():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from jacobsthal_octonions.identities import IdentityId
+
+    def invoke(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    target = st.one_of(st.just(["--all"]), st.sampled_from(
+        [["--identity", i.name] for i in IdentityId] + [["--identity", "E99"]]))
+    index = st.one_of(st.integers(-3, 40), st.sampled_from(["-0", "1e3", "x"]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(target, st.sampled_from(["printed", "corrected", "both"]),
+           index, index)
+    def check(target, variant, n_from, n_to):
+        argv = ["verify", *target, "--variant", variant,
+                "--from", str(n_from), "--to", str(n_to)]
+        code, out, err = invoke(argv + ["--format", "csv"])
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        code_json, out_json, err_json = invoke(argv + ["--format", "json"])
+        assert (code_json, err_json) == (code, err)
+        if code != 2:
+            assert csv_counts(out) == json_counts(out_json)
+
+    check()
 
 
 # --- determinism and --out ------------------------------------------------------

@@ -1,5 +1,7 @@
 import copy
+import random
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
 
@@ -8,8 +10,10 @@ from jacobsthal_octonions.errors import DomainError, UnknownVariantError
 from jacobsthal_octonions.identities import (
     IdentityId,
     ProductOrder,
+    RangeReport,
     REGISTRY,
     Variant,
+    VerificationReport,
     closed_product,
     run_suite,
     value_to_json,
@@ -17,7 +21,11 @@ from jacobsthal_octonions.identities import (
     verify_range,
     verify_ranges,
     _ALPHA_EPS_ROWS,
+    _CHUNK,
     _EPS_ALPHA_ROWS,
+    _Terms,
+    _running_sum,
+    _term_lists,
 )
 from jacobsthal_octonions.octonion import Octonion, ScaledOctonion
 from jacobsthal_octonions.octonion_sequences import (
@@ -26,7 +34,12 @@ from jacobsthal_octonions.octonion_sequences import (
     epsilon_hat,
     oct_seq,
 )
-from jacobsthal_octonions.sequences import SequenceKind, partial_sum
+from jacobsthal_octonions.sequences import (
+    THIRD_ORDER_KINDS,
+    SequenceKind,
+    partial_sum,
+    seq_terms,
+)
 
 PRINTED = Variant.AS_PRINTED
 CORRECTED = Variant.CORRECTED
@@ -383,8 +396,9 @@ def test_descriptor_lookup():
 
 
 def test_range_reports_match_single_checks():
-    # verify_range reads one term list per range, with nothing held below
-    # n_from - 3; every report must equal the one verify builds on its own.
+    # verify_range reads the terms a chunk at a time, with nothing held
+    # outside the chunk's window; every report must equal the one verify
+    # builds on its own.
     for identity, descriptor in REGISTRY.items():
         for variant in descriptor.variants:
             report = verify_range(identity, variant, 40, 45)
@@ -433,3 +447,86 @@ def test_partial_sum_rows_far_from_zero(identity, kind):
     for n in range(5000, 5011):
         checked = verify(identity, PRINTED, n)
         assert checked.passed and checked.lhs == partial_sum(kind, n)
+
+
+# --- windowed terms against the from-zero construction ------------------------
+
+
+def reference_ranges(identity, variants, n_from, n_to):
+    """``verify_ranges`` as it was first built: every term and running sum
+    from index 0 to n_to + 10 in full lists, and a report with its delta at
+    every index, kept when the delta is not zero."""
+    terms = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
+    t = _Terms(*terms, *(dict(enumerate(accumulate(x))) for x in terms))
+    descriptor = REGISTRY[identity]
+    skipped, failures, checked = [], [[] for _ in variants], 0
+    for n in range(n_from, n_to + 1):
+        if not descriptor.in_domain(n):
+            skipped.append(n)
+            continue
+        checked += 1
+        sides = descriptor.sides(t, n)
+        for variant, failed in zip(variants, failures):
+            lhs, rhs = sides[0], sides[descriptor.variants.index(variant) + 1]
+            if lhs != rhs:
+                failed.append(VerificationReport(identity, variant, n, False, lhs, rhs, lhs - rhs))
+    return [RangeReport(identity, variant, n_from, n_to, checked, tuple(skipped), tuple(failed))
+            for variant, failed in zip(variants, failures)]
+
+
+WINDOW_RANGES = [
+    (0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
+    (0, 20), (1, 20), (2, 20), (3, 20),
+    (_CHUNK - 1, _CHUNK - 1), (_CHUNK, _CHUNK), (_CHUNK + 1, _CHUNK + 1),
+    (_CHUNK - 3, _CHUNK + 3), (2 * _CHUNK - 1, 2 * _CHUNK),
+    (0, _CHUNK - 2), (0, _CHUNK - 1), (0, _CHUNK), (1, _CHUNK + 1),
+    (5, 2 * _CHUNK + 7),
+    (5000, 5000), (4996, 5006),
+]
+
+
+@pytest.mark.parametrize("n_from, n_to", WINDOW_RANGES)
+def test_windowed_ranges_equal_the_from_zero_construction(n_from, n_to):
+    for identity, descriptor in REGISTRY.items():
+        variants = descriptor.variants
+        if n_to - n_from > 40 and len(variants) > 1:
+            # The long ranges of T5/T6 cost seconds; their short ones suffice.
+            continue
+        assert verify_ranges(identity, variants, n_from, n_to) == \
+            reference_ranges(identity, variants, n_from, n_to), identity
+
+
+@pytest.mark.parametrize("identity", [IdentityId.T5_QUAD, IdentityId.T6_QUAD])
+@pytest.mark.parametrize("variants", [(PRINTED, CORRECTED), (CORRECTED, PRINTED)])
+@pytest.mark.parametrize("n_from, n_to", [(0, 5), (_CHUNK - 2, _CHUNK + 1), (5000, 5001)])
+def test_windowed_quadratic_rows_in_both_variant_orders(identity, variants, n_from, n_to):
+    assert verify_ranges(identity, variants, n_from, n_to) == \
+        reference_ranges(identity, variants, n_from, n_to)
+
+
+@pytest.mark.parametrize("n_from, n_to", [(0, 3 * _CHUNK + 5), (1000, 1000 + 2 * _CHUNK)])
+def test_term_lists_hold_one_window(n_from, n_to):
+    # Each chunk holds the terms n - 3 .. n + 10 of its indices and nothing
+    # else, however far the range runs; its sums are those of its indices.
+    seen = []
+    for indices, t in _term_lists(n_from, n_to):
+        seen += indices
+        assert len(indices) <= _CHUNK
+        window = range(max(indices[0] - 3, 0), indices[-1] + 11)
+        for kind, terms, sums in zip(THIRD_ORDER_KINDS, (t.j, t.l), (t.j_sum, t.l_sum)):
+            assert [k for k, x in enumerate(terms) if x is not None] == list(window)
+            assert terms[window[0]:window[-1] + 1] == list(
+                islice(seq_terms(kind, window[0]), len(window)))
+            assert [sums[n] for n in indices] == [partial_sum(kind, n) for n in indices]
+    assert seen == list(range(n_from, n_to + 1))
+
+
+@pytest.mark.parametrize("kind", THIRD_ORDER_KINDS)
+def test_running_sums_by_powering_equal_the_literal_sum(kind):
+    # The running sum's own recurrence, x^4 - 2x^3 - x + 2, reaches S(n)
+    # without the prefix walk; partial_sum adds the terms one by one.
+    assert _running_sum(kind, -1) == 0
+    sums = list(accumulate(islice(seq_terms(kind), 400)))
+    assert [_running_sum(kind, n) for n in range(400)] == sums
+    for n in random.Random(11).sample(range(400, 10 ** 4), 12) + [10 ** 4]:
+        assert _running_sum(kind, n) == partial_sum(kind, n), n
