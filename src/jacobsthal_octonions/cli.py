@@ -10,15 +10,23 @@ as a failed identity.  Data goes to
 stdout (or ``--out``), diagnostics to stderr.  All numbers are emitted as
 decimal strings: coefficients outgrow 64-bit integers quickly, and strings
 round-trip losslessly through JSON and CSV.
+
+A csv ``verify`` prints counts only, so it is counted on up to one process
+per CPU available to this one, each taking alternate chunks of every range
+(``_counts``); its output is that of one process.  It stays in one process
+when the range is one chunk, the platform has no ``fork`` or
+``sched_getaffinity``, or this process runs other threads.  json and plain
+print witnesses and are always counted in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, UnknownVariantError
 from .octonion import MULTIPLICATION_TABLE, _decimal_str
@@ -125,7 +133,7 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
 
 def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, Sequence[Variant]]]:
     # Only verify loads the identity table: seq, oct and mul-table never read it.
-    from .identities import REGISTRY, IdentityId, Variant, _suite_targets
+    from .identities import REGISTRY, IdentityId, Variant, _columns, _suite_targets
 
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
@@ -141,23 +149,126 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, Sequence
                          + ", ".join(i.name for i in IdentityId)) from None
     if args.variant == "both":
         return [(identity, REGISTRY[identity].variants)]
-    return [(identity, (Variant(args.variant),))]
+    variants = (Variant(args.variant),)
+    try:
+        _columns(identity, variants)
+    except UnknownVariantError as exc:
+        raise UsageError(str(exc)) from None
+    return [(identity, variants)]
 
 
-def _counts(identity: IdentityId, variants: Sequence[Variant],
-            n_from: int, n_to: int) -> list[tuple]:
-    """The csv row of each variant's report, from counts alone: no report
-    is built and no delta computed, so a range holds no witness."""
+def _parts(chunks: int) -> int:
+    """How many processes count a range of ``chunks`` chunks: one per CPU
+    this process may run on, and no more than there are chunks.  Only one,
+    so no fork, where the platform cannot fork or this process runs other
+    threads: a fork copies their locks but not the threads that hold them."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), chunks)
+
+
+def _part_counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
+                 n_from: int, n_to: int, part: int, parts: int) -> list[list[int]]:
+    """[checked, then the failures of each variant] of each target over
+    chunks ``part``, ``part + parts``, ... of [n_from, n_to].  No report is
+    built and no delta computed, so a range holds no witness."""
     from .identities import _evaluations
 
-    checked = 0
-    failed = [0] * len(variants)
-    for _, _, failing in _evaluations(identity, variants, n_from, n_to):
-        checked += 1
-        for i, _ in failing:
-            failed[i] += 1
+    counts = []
+    for identity, variants in targets:
+        tally = [0] * (1 + len(variants))
+        for _, _, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
+            tally[0] += 1
+            for i, _ in failing:
+                tally[1 + i] += 1
+        counts.append(tally)
+    return counts
+
+
+def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]],
+               n_from: int, n_to: int, part: int, parts: int) -> tuple[int, IO[str]]:
+    """A child process that counts ``_part_counts``: its pid, and the pipe
+    on which it sends one json line, its counts or its error."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, encoding="utf-8")
+    # The child leaves through os._exit whatever happens, so it never
+    # returns to the caller, runs no atexit handler and flushes no stdio.
+    try:
+        os.close(read)
+        try:
+            result = {"counts": _part_counts(targets, n_from, n_to, part, parts)}
+        except DomainError as exc:
+            result = {"domain": str(exc)}
+        except Exception as exc:
+            result = {"error": f"{type(exc).__name__}: {exc}"}
+        with open(write, "w", encoding="utf-8") as pipe:
+            pipe.write(json.dumps(result) + "\n")
+    finally:
+        os._exit(0)
+
+
+def _received(pipe: IO[str]) -> list[list[int]]:
+    """The counts a child sent; its error, or the lack of a result, raised."""
+    line = pipe.read()
+    result = json.loads(line) if line.endswith("\n") else {"error": "no result"}
+    if "domain" in result:
+        raise DomainError(result["domain"])
+    if "error" in result:
+        raise ChildProcessError(f"a counting process failed: {result['error']}")
+    return result["counts"]
+
+
+def _counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
+            n_from: int, n_to: int) -> list[tuple]:
+    """The csv rows of ``targets`` over [n_from, n_to], from counts alone.
+
+    The range's chunks are dealt out to P = ``_parts`` processes: this one
+    counts chunks 0, P, 2P, ... of every target, and forked child k chunks
+    k, k + P, ..., so each gets a share of every row's cheap and costly
+    indices.  Each walks the terms of the whole range, which costs little
+    beside evaluating the sides, and so reaches each of its chunks without
+    powering into it.  A child sends its counts as one json line; their sums, and so
+    the rows, are those of one process.  No child outlives the call: on any
+    error here the children are killed, and every child is reaped."""
+    from .identities import _CHUNK
+
+    # Every part's walk checks the bound too; checking it here forks nothing
+    # for a request that is refused.
+    _check_index(n_to)
+    parts = _parts(len(range(n_from, n_to + 1, _CHUNK)))
+    children: list[tuple[int, IO[str]]] = []
+    try:
+        for part in range(1, parts):
+            children.append(_fork_part(targets, n_from, n_to, part, parts))
+        counts = _part_counts(targets, n_from, n_to, 0, parts)
+        for _, pipe in children:
+            counts = [[a + b for a, b in zip(mine, theirs)]
+                      for mine, theirs in zip(counts, _received(pipe))]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
     return [(identity.name, variant.value, n_from, n_to, checked,
-             n_to - n_from + 1 - checked, count) for variant, count in zip(variants, failed)]
+             n_to - n_from + 1 - checked, count)
+            for (identity, variants), (checked, *failed) in zip(targets, counts)
+            for variant, count in zip(variants, failed)]
 
 
 def _format_reports(reports: list[RangeReport], fmt: str) -> str:
@@ -186,19 +297,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .identities import verify_ranges
 
     targets = _verify_targets(args)
-    try:
-        if args.format == "csv":
-            rows = [row for identity, variants in targets
-                    for row in _counts(identity, variants, args.n_from, args.n_to)]
-            text = "".join(",".join(map(str, row)) + "\n" for row in rows)
-        else:
-            reports = [report for identity, variants in targets
-                       for report in verify_ranges(identity, variants, args.n_from, args.n_to)]
-            text = _format_reports(reports, args.format)
-            rows = [(r.identity.name, r.variant.value, r.n_from, r.n_to, r.total_checked,
-                     len(r.skipped), len(r.failures)) for r in reports]
-    except UnknownVariantError as exc:
-        raise UsageError(str(exc)) from None
+    if args.format == "csv":
+        rows = _counts(targets, args.n_from, args.n_to)
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    else:
+        reports = [report for identity, variants in targets
+                   for report in verify_ranges(identity, variants, args.n_from, args.n_to)]
+        text = _format_reports(reports, args.format)
+        rows = [(r.identity.name, r.variant.value, r.n_from, r.n_to, r.total_checked,
+                 len(r.skipped), len(r.failures)) for r in reports]
     _emit(text, args.out)
     for name, variant, n_from, n_to, checked, _, _ in rows:
         if not checked:

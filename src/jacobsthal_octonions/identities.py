@@ -17,9 +17,10 @@ for every variant and recording out-of-domain indices as skips, never as
 failures.  A range is walked from n_from - 3, a chunk of indices at a
 time, so it holds O(n) bits of terms at index n, and it builds a report
 only for a failing index.  ``_evaluations`` is that walk: a caller that
-needs only counts, such as ``j3o verify --format csv``, reads it and
-keeps no report.  There are no tolerances anywhere: passed means the
-delta is exactly zero.
+needs only counts reads it and keeps no report.  ``j3o verify --format
+csv`` does, in up to one process per CPU, each of which walks the whole
+range but evaluates only alternate chunks of it.  There are no
+tolerances anywhere: passed means the delta is exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
 variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
@@ -518,16 +519,21 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
     return _check(identity, variant, n, sides[0], sides[column])
 
 
-def _evaluations(identity: IdentityId, variants: Sequence[Variant],
-                 n_from: int, n_to: int) -> Iterator[tuple[int, Value, list[tuple[int, Value]]]]:
+def _evaluations(identity: IdentityId, variants: Sequence[Variant], n_from: int, n_to: int,
+                 part: int = 0, parts: int = 1,
+                 ) -> Iterator[tuple[int, Value, list[tuple[int, Value]]]]:
     """(n, lhs, failing) for each n in [n_from, n_to] in the domain of
     ``identity``, in order: the sides are evaluated once, and ``failing``
     pairs the position in ``variants`` of each variant whose right side
     differs from lhs with that right side.  Nothing else is kept, so a
-    caller holds what it keeps of these and one chunk of terms."""
+    caller holds what it keeps of these and one chunk of terms.  Only the
+    chunks ``part``, ``part + parts``, ... of the range are evaluated; the
+    walk passes the others by, so ``parts`` processes can share a range."""
     columns = _columns(identity, variants)
     descriptor = REGISTRY[identity]
-    for indices, terms in _term_lists(n_from, n_to):
+    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to)):
+        if k % parts != part:
+            continue
         for n in indices:
             if descriptor.in_domain(n):
                 sides = descriptor.sides(terms, n)

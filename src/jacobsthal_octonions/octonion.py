@@ -200,7 +200,8 @@ class Octonion:
             return Octonion([sum([a[i] * b[j] for i, j in plus])
                              - sum([a[i] * b[j] for i, j in minus])
                              for plus, minus in _PRODUCT_TERMS])
-        if isinstance(other, int):
+        # Exactly int, as for a coefficient: a bool is refused.
+        if type(other) is int:
             return Octonion([a * other for a in self._c])
         return NotImplemented
 
@@ -316,7 +317,7 @@ class ScaledOctonion:
         return ScaledOctonion(-self._num, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return ScaledOctonion(self._num * other, self._den)
         rhs = self._coerce(other)
         if rhs is None:
@@ -325,7 +326,7 @@ class ScaledOctonion:
 
     def __rmul__(self, other):
         # The product is order-sensitive: other * self.
-        if isinstance(other, int):
+        if type(other) is int:
             return ScaledOctonion(other * self._num, self._den)
         if isinstance(other, Octonion):
             return ScaledOctonion(other * self._num, self._den)

@@ -6,6 +6,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -300,8 +302,11 @@ def test_csv_of_a_printed_quadratic_row_holds_no_witnesses():
     # the 1,501 failing reports, each with its exact lhs, rhs and delta,
     # peaks near 9.5 MB; counting them stays near the failure-free variant.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    probe = ("import contextlib, io, tracemalloc\n"
+    # One CPU, so that the request counts in one process and the bound
+    # covers all of it.
+    probe = ("import contextlib, io, os, tracemalloc\n"
              "from jacobsthal_octonions.cli import main\n"
+             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
              "tracemalloc.start()\n"
              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
              "    code = main(['verify', '--identity', 'T5_QUAD', '--to', '1500',"
@@ -350,6 +355,126 @@ def test_argv_fuzz_exits_cleanly_and_csv_agrees_with_json():
             assert csv_counts(out) == json_counts(out_json)
 
     check()
+
+
+# --- csv: one counting process per available CPU ---------------------------------
+
+
+def csv_on(capsys, monkeypatch, cpus, *argv):
+    """(exit code, stdout, stderr, forks) of a csv request made with
+    ``cpus`` CPUs available to this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(cpus)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return (*run(capsys, *argv, "--format", "csv"), len(forks))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    "--all --variant both --to 300",
+    # Off a chunk boundary, with a residue domain.
+    "--identity T4_PROD_JJO --from 5 --to 400",
+    # Running sums that cross chunk starts.
+    "--identity E10 --from 60 --to 200",
+])
+def test_csv_in_parts_is_byte_identical_to_one_part_and_counts_what_json_reports(
+        capsys, monkeypatch, argv):
+    argv = ["verify", *argv.split()]
+    code, out, err, forks = csv_on(capsys, monkeypatch, 1, *argv)
+    assert forks == 0
+    for cpus in (2, 3):
+        assert csv_on(capsys, monkeypatch, cpus, *argv) == (code, out, err, cpus - 1)
+    assert_no_child_left()
+    code_json, out_json, err_json = run(capsys, *argv, "--format", "json")
+    assert (code_json, err_json) == (code, err)
+    assert csv_counts(out) == json_counts(out_json)
+
+
+def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch):
+    evaluations = identities._evaluations
+
+    def failing(identity, variants, n_from, n_to, part, parts):
+        if part:
+            raise RuntimeError("chunk lost")
+        return evaluations(identity, variants, n_from, n_to, part, parts)
+
+    monkeypatch.setattr(identities, "_evaluations", failing)
+    code, out, err, forks = csv_on(capsys, monkeypatch, 2,
+                                   "verify", "--identity", "E4", "--to", "127")
+    assert (code, out, forks) == (3, "", 1)
+    assert err == ("j3o: error: ChildProcessError: a counting process failed: "
+                   "RuntimeError: chunk lost\n")
+    assert_no_child_left()
+
+
+def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch):
+    def stalled(identity, variants, n_from, n_to, part, parts):
+        if part:
+            time.sleep(60)
+        raise RuntimeError("chunk lost")
+
+    monkeypatch.setattr(identities, "_evaluations", stalled)
+    start = time.monotonic()
+    code, out, err, forks = csv_on(capsys, monkeypatch, 3,
+                                   "verify", "--identity", "E4", "--to", "200")
+    assert time.monotonic() - start < 30
+    assert (code, out, err, forks) == (3, "", "j3o: error: RuntimeError: chunk lost\n", 2)
+    assert_no_child_left()
+
+
+def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch):
+    # E10's right side reads J3(n + 1): past the bound at the range's end,
+    # which only the child counts.
+    monkeypatch.setattr(sequences, "_MAX_INDEX", 200)
+    argv = ["verify", "--identity", "E10", "--from", "100", "--to", "200"]
+    refused = (2, "", "j3o: error: sequence index must be <= 200, got 201\n")
+    assert csv_on(capsys, monkeypatch, 1, *argv) == (*refused, 0)
+    assert csv_on(capsys, monkeypatch, 2, *argv) == (*refused, 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    ("verify --all --to 1000006",
+     "sequence index must be <= 1000000, got 1000006"),
+    ("verify --identity E4 --variant corrected --to 1000",
+     "E4 has no corrected variant"),
+    ("verify --all --variant corrected --to 1000",
+     "--variant corrected needs a single --identity; use --variant both with --all"),
+])
+def test_a_refused_csv_request_forks_nothing(capsys, monkeypatch, argv, refusal):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run(capsys, *argv.split(), "--format", "csv")
+    assert (code, out, err) == (2, "", f"j3o: error: {refusal}\n")
+
+
+def test_one_cpu_one_chunk_or_a_second_thread_counts_in_this_process(capsys, monkeypatch):
+    argv = ["verify", "--all", "--to", "300"]
+    expected = csv_on(capsys, monkeypatch, 2, *argv)[:3]
+    assert csv_on(capsys, monkeypatch, 1, *argv) == (*expected, 0)
+    assert csv_on(capsys, monkeypatch, 2, "verify", "--all", "--to", "63")[3] == 0
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert csv_on(capsys, monkeypatch, 2, *argv) == (*expected, 0)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # --- determinism and --out ------------------------------------------------------

@@ -277,6 +277,22 @@ def test_scaled_denominator_rejects_bool():
         ScaledOctonion(Octonion.basis(0), True)
 
 
+@pytest.mark.parametrize("scale", [
+    lambda x, flag: x * flag,
+    lambda x, flag: flag * x,
+])
+@pytest.mark.parametrize("value", [
+    Octonion((1, 2, 3, 4, 5, 6, 7, 8)),
+    ScaledOctonion(Octonion((1, 2, 3, 4, 5, 6, 7, 8)), 7),
+])
+def test_scaling_by_a_bool_is_refused(value, scale):
+    # A bool is an int subclass, but neither a coefficient nor a denominator.
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            scale(value, flag)
+    assert scale(value, 1) == value
+
+
 def test_scaled_equality_is_cross_multiplied():
     p = Octonion((1, 2, 3, 4, 5, 6, 7, 8))
     assert ScaledOctonion(p * 3, 6) == ScaledOctonion(p, 2)
