@@ -11,12 +11,13 @@ stdout (or ``--out``), diagnostics to stderr.  All numbers are emitted as
 decimal strings: coefficients outgrow 64-bit integers quickly, and strings
 round-trip losslessly through JSON and CSV.
 
-A csv ``verify`` prints counts only, so it is counted on up to one process
-per CPU available to this one, each taking alternate chunks of every range
-(``_counts``); its output is that of one process.  It stays in one process
-when the range is one chunk, the platform has no ``fork`` or
-``sched_getaffinity``, or this process runs other threads.  json and plain
-print witnesses and are always counted in one process.
+A ``verify`` runs on up to one process per CPU available to this one, each
+taking alternate chunks of every range (``_verified``): a part counts its
+checks and failures, and for json and plain also writes out each failure's
+exact witness, so the costly decimal conversion is shared too.  The output
+is that of one process.  It stays in one process when the range is one
+chunk, the platform has no ``fork`` or ``sched_getaffinity``, or this
+process runs other threads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
 
 if TYPE_CHECKING:
-    from .identities import IdentityId, RangeReport, Variant
+    from .identities import IdentityId, Variant
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -158,7 +159,7 @@ def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, Sequence
 
 
 def _parts(chunks: int) -> int:
-    """How many processes count a range of ``chunks`` chunks: one per CPU
+    """How many processes verify a range of ``chunks`` chunks: one per CPU
     this process may run on, and no more than there are chunks.  Only one,
     so no fork, where the platform cannot fork or this process runs other
     threads: a fork copies their locks but not the threads that hold them."""
@@ -170,28 +171,32 @@ def _parts(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _part_counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
-                 n_from: int, n_to: int, part: int, parts: int) -> list[list[int]]:
+def _part_results(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int,
+                  n_to: int, part: int, parts: int, witnesses: bool) -> list[list]:
     """[checked, then the failures of each variant] of each target over
-    chunks ``part``, ``part + parts``, ... of [n_from, n_to].  No report is
-    built and no delta computed, so a range holds no witness."""
-    from .identities import _evaluations
+    chunks ``part``, ``part + parts``, ... of [n_from, n_to].  The failures
+    are counted or, with ``witnesses``, listed in their wire form
+    (``VerificationReport.to_json``), decimal strings that a pipe carries
+    as they are.  Counting builds no report and computes no delta, so a
+    range holds no witness."""
+    from .identities import _check, _evaluations
 
-    counts = []
+    results = []
     for identity, variants in targets:
-        tally = [0] * (1 + len(variants))
-        for _, _, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
+        tally = [0, *([] if witnesses else 0 for _ in variants)]
+        for n, lhs, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
             tally[0] += 1
-            for i, _ in failing:
-                tally[1 + i] += 1
-        counts.append(tally)
-    return counts
+            for i, rhs in failing:
+                tally[1 + i] += ([_check(identity, variants[i], n, lhs, rhs).to_json()]
+                                 if witnesses else 1)
+        results.append(tally)
+    return results
 
 
-def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]],
-               n_from: int, n_to: int, part: int, parts: int) -> tuple[int, IO[str]]:
-    """A child process that counts ``_part_counts``: its pid, and the pipe
-    on which it sends one json line, its counts or its error."""
+def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int,
+               n_to: int, part: int, parts: int, witnesses: bool) -> tuple[int, IO[str]]:
+    """A child process that runs ``_part_results``: its pid, and the pipe
+    on which it sends one json line, its results or its error."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -207,7 +212,7 @@ def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]],
     try:
         os.close(read)
         try:
-            result = {"counts": _part_counts(targets, n_from, n_to, part, parts)}
+            result = {"results": _part_results(targets, n_from, n_to, part, parts, witnesses)}
         except DomainError as exc:
             result = {"domain": str(exc)}
         except Exception as exc:
@@ -218,29 +223,32 @@ def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]],
         os._exit(0)
 
 
-def _received(pipe: IO[str]) -> list[list[int]]:
-    """The counts a child sent; its error, or the lack of a result, raised."""
+def _received(pipe: IO[str]) -> list[list]:
+    """The results a child sent; its error, or the lack of a result, raised."""
     line = pipe.read()
     result = json.loads(line) if line.endswith("\n") else {"error": "no result"}
     if "domain" in result:
         raise DomainError(result["domain"])
     if "error" in result:
         raise ChildProcessError(f"a counting process failed: {result['error']}")
-    return result["counts"]
+    return result["results"]
 
 
-def _counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
-            n_from: int, n_to: int) -> list[tuple]:
-    """The csv rows of ``targets`` over [n_from, n_to], from counts alone.
+def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
+              witnesses: bool) -> list[tuple]:
+    """(identity, variant, checked, failures) of each variant of ``targets``
+    over [n_from, n_to], failures as ``_part_results`` gives them, in
+    order of n.
 
     The range's chunks are dealt out to P = ``_parts`` processes: this one
-    counts chunks 0, P, 2P, ... of every target, and forked child k chunks
+    takes chunks 0, P, 2P, ... of every target, and forked child k chunks
     k, k + P, ..., so each gets a share of every row's cheap and costly
     indices.  Each walks the terms of the whole range, which costs little
     beside evaluating the sides, and so reaches each of its chunks without
-    powering into it.  A child sends its counts as one json line; their sums, and so
-    the rows, are those of one process.  No child outlives the call: on any
-    error here the children are killed, and every child is reaped."""
+    powering into it.  A child sends its results as one json line.  The
+    counts add up, and the failures, joined and put in order of n, are
+    those of one process.  No child outlives the call: on any error here
+    the children are killed, and every child is reaped."""
     from .identities import _CHUNK
 
     # Every part's walk checks the bound too; checking it here forks nothing
@@ -250,11 +258,12 @@ def _counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
     children: list[tuple[int, IO[str]]] = []
     try:
         for part in range(1, parts):
-            children.append(_fork_part(targets, n_from, n_to, part, parts))
-        counts = _part_counts(targets, n_from, n_to, 0, parts)
+            children.append(_fork_part(targets, n_from, n_to, part, parts, witnesses))
+        results = _part_results(targets, n_from, n_to, 0, parts, witnesses)
         for _, pipe in children:
-            counts = [[a + b for a, b in zip(mine, theirs)]
-                      for mine, theirs in zip(counts, _received(pipe))]
+            # Counts add up and failure lists join, in order of part.
+            results = [[a + b for a, b in zip(mine, theirs)]
+                       for mine, theirs in zip(results, _received(pipe))]
     except BaseException:
         import signal
 
@@ -265,53 +274,53 @@ def _counts(targets: list[tuple[IdentityId, Sequence[Variant]]],
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    return [(identity.name, variant.value, n_from, n_to, checked,
-             n_to - n_from + 1 - checked, count)
-            for (identity, variants), (checked, *failed) in zip(targets, counts)
-            for variant, count in zip(variants, failed)]
+    return [(identity, variant, checked,
+             sorted(failed, key=lambda failure: failure["n"]) if witnesses else failed)
+            for (identity, variants), (checked, *failures) in zip(targets, results)
+            for variant, failed in zip(variants, failures)]
 
 
-def _format_reports(reports: list[RangeReport], fmt: str) -> str:
-    from .identities import value_to_json
-
+def _format_reports(reports: list[dict], fmt: str) -> str:
+    """json or plain text of reports in their wire form (``_range_json``)."""
     if fmt == "json":
-        return json.dumps([r.to_json() for r in reports], indent=2) + "\n"
+        return json.dumps(reports, indent=2) + "\n"
     lines = []
     for r in reports:
-        status = "ok" if r.passed else "FAIL"
+        status = "FAIL" if r["failures"] else "ok"
         lines.append(
-            f"{r.identity.name} {r.variant.value} [{r.n_from},{r.n_to}]: "
-            f"checked={r.total_checked} skipped={len(r.skipped)} "
-            f"failures={len(r.failures)} {status}"
+            f"{r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
+            f"checked={r['checked']} skipped={len(r['skipped'])} "
+            f"failures={len(r['failures'])} {status}"
         )
-        for failure in r.failures:
+        for failure in r["failures"]:
             lines.append(
-                f"  n={failure.n} lhs={_compact(value_to_json(failure.lhs))} "
-                f"rhs={_compact(value_to_json(failure.rhs))} "
-                f"delta={_compact(value_to_json(failure.delta))}"
+                f"  n={failure['n']} lhs={_compact(failure['lhs'])} "
+                f"rhs={_compact(failure['rhs'])} delta={_compact(failure['delta'])}"
             )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import verify_ranges
+    from .identities import _range_json, _skipped
 
     targets = _verify_targets(args)
+    n_from, n_to = args.n_from, args.n_to
+    results = _verified(targets, n_from, n_to, witnesses=args.format != "csv")
     if args.format == "csv":
-        rows = _counts(targets, args.n_from, args.n_to)
-        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        text = "".join(f"{identity.name},{variant.value},{n_from},{n_to},{checked},"
+                       f"{n_to - n_from + 1 - checked},{failed}\n"
+                       for identity, variant, checked, failed in results)
     else:
-        reports = [report for identity, variants in targets
-                   for report in verify_ranges(identity, variants, args.n_from, args.n_to)]
-        text = _format_reports(reports, args.format)
-        rows = [(r.identity.name, r.variant.value, r.n_from, r.n_to, r.total_checked,
-                 len(r.skipped), len(r.failures)) for r in reports]
+        text = _format_reports([_range_json(identity, variant, n_from, n_to, checked,
+                                            _skipped(identity, n_from, n_to), failed)
+                                for identity, variant, checked, failed in results],
+                               args.format)
     _emit(text, args.out)
-    for name, variant, n_from, n_to, checked, _, _ in rows:
+    for identity, variant, checked, _ in results:
         if not checked:
-            print(f"j3o: warning: {name} {variant} [{n_from},{n_to}]: nothing checked, "
-                  f"no index is in the identity's domain", file=sys.stderr)
-    return EXIT_DISCREPANCY if any(row[-1] for row in rows) else EXIT_OK
+            print(f"j3o: warning: {identity.name} {variant.value} [{n_from},{n_to}]: "
+                  f"nothing checked, no index is in the identity's domain", file=sys.stderr)
+    return EXIT_DISCREPANCY if any(failed for *_, failed in results) else EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

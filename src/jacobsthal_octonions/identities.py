@@ -17,10 +17,10 @@ for every variant and recording out-of-domain indices as skips, never as
 failures.  A range is walked from n_from - 3, a chunk of indices at a
 time, so it holds O(n) bits of terms at index n, and it builds a report
 only for a failing index.  ``_evaluations`` is that walk: a caller that
-needs only counts reads it and keeps no report.  ``j3o verify --format
-csv`` does, in up to one process per CPU, each of which walks the whole
-range but evaluates only alternate chunks of it.  There are no
-tolerances anywhere: passed means the delta is exactly zero.
+needs only counts reads it and keeps no report.  ``j3o verify`` reads it
+in up to one process per CPU, each of which walks the whole range but
+evaluates only alternate chunks of it.  There are no tolerances anywhere:
+passed means the delta is exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
 variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
@@ -66,12 +66,13 @@ Value = Union[int, Fraction, Octonion, ScaledOctonion]
 class _Terms(NamedTuple):
     """The J3 and JL3 terms and their running sums that one chunk of a
     range reads, indexed by term index: j[n] = J3(n), j_sum[n] = J3(0) +
-    ... + J3(n), and likewise l and l_sum for JL3."""
+    ... + J3(n), and likewise l and l_sum for JL3.  The sums are None
+    where no row of the range reads them."""
 
     j: list
     l: list
-    j_sum: dict
-    l_sum: dict
+    j_sum: Optional[dict] = None
+    l_sum: Optional[dict] = None
 
 
 # Indices a chunk of a range evaluates: it holds the terms of _CHUNK + 13
@@ -108,9 +109,9 @@ def _running_sum(kind: SequenceKind, n: int) -> int:
     return sum(c * s for c, s in zip((c0, c1, c2, c3), seeds))
 
 
-def _term_lists(n_from: int, n_to: int) -> Iterator[tuple[range, _Terms]]:
+def _term_lists(n_from: int, n_to: int, sums: bool) -> Iterator[tuple[range, _Terms]]:
     """The indices of [n_from, n_to] a chunk at a time, each with the terms
-    and running sums that identity sides read at them.
+    and, with ``sums``, the running sums that identity sides read at them.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
     last coefficient of JO(n+3) in T3_A and T5_QUAD).  Each kind is walked
@@ -120,26 +121,25 @@ def _term_lists(n_from: int, n_to: int) -> Iterator[tuple[range, _Terms]]:
     they are one list per kind, None outside the current chunk's window, so
     a range holds O(n) bits of terms at index n rather than every term it
     passed.  The sums are only read at an index, never sliced, so they are
-    one dict per chunk.  A range that ends past the index bound is refused
-    before any walk.
+    one dict per chunk.  Without ``sums`` neither is reached nor built.  A
+    range that ends past the index bound is refused before any walk.
     """
     _check_index(n_to)
     low = max(n_from - 3, 0)
     lists = [[None] * (n_to + 11) for _ in THIRD_ORDER_KINDS]
     walks = [seq_terms(kind, low) for kind in THIRD_ORDER_KINDS]
-    sums = [_running_sum(kind, n_from - 1) for kind in THIRD_ORDER_KINDS]
+    below = [_running_sum(kind, n_from - 1) for kind in THIRD_ORDER_KINDS] if sums else []
     cleared = filled = low
     for first in range(n_from, n_to + 1, _CHUNK):
         end = min(first + _CHUNK, n_to + 1)
         keep = max(first - 3, 0)
-        chunk_sums = []
-        for i, (terms, walk) in enumerate(zip(lists, walks)):
+        for terms, walk in zip(lists, walks):
             terms[cleared:keep] = [None] * (keep - cleared)
             terms[filled:end + 10] = islice(walk, end + 10 - filled)
-            running = dict(enumerate(accumulate(terms[first:end], initial=sums[i]), first - 1))
-            sums[i] = running[end - 1]
-            chunk_sums.append(running)
         cleared, filled = keep, end + 10
+        chunk_sums = [dict(enumerate(accumulate(terms[first:end], initial=total), first - 1))
+                      for terms, total in zip(lists, below)]
+        below = [running[end - 1] for running in chunk_sums]
         yield range(first, end), _Terms(*lists, *chunk_sums)
 
 
@@ -229,15 +229,24 @@ class RangeReport(NamedTuple):
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "id": self.identity.name,
-            "variant": self.variant.value,
-            "n_from": self.n_from,
-            "n_to": self.n_to,
-            "checked": self.total_checked,
-            "skipped": list(self.skipped),
-            "failures": [f.to_json() for f in self.failures],
-        }
+        return _range_json(self.identity, self.variant, self.n_from, self.n_to,
+                           self.total_checked, self.skipped,
+                           [f.to_json() for f in self.failures])
+
+
+def _range_json(identity: IdentityId, variant: Variant, n_from: int, n_to: int,
+                checked: int, skipped: Sequence[int], failures: list[dict]) -> dict:
+    """The wire form of a ``RangeReport`` with these fields, its failures
+    given already in theirs (``VerificationReport.to_json``)."""
+    return {
+        "id": identity.name,
+        "variant": variant.value,
+        "n_from": n_from,
+        "n_to": n_to,
+        "checked": checked,
+        "skipped": list(skipped),
+        "failures": failures,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +362,15 @@ def _sides_t6(t: _Terms, n: int):
 class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
-    ``sides``) and its domain, n >= n_min and, when ``residue`` is set,
-    n = residue (mod 3)."""
+    ``sides``), its domain, n >= n_min and, when ``residue`` is set,
+    n = residue (mod 3), and whether its sides read the running sums."""
 
     statement: str
     sides: Sides
     variants: tuple[Variant, ...] = (Variant.AS_PRINTED,)
     n_min: int = 0
     residue: Optional[int] = None
+    reads_sums: bool = False
 
     def in_domain(self, n: int) -> bool:
         if n < self.n_min:
@@ -395,11 +405,13 @@ _SCALAR_IDENTITIES = {
         lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
     "E10": IdentityDescriptor(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
+        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n)),
+        reads_sums=True),
     "E11": IdentityDescriptor(
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
         lambda t, n: (t.l_sum[n],
-                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
+                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n)),
+        reads_sums=True),
     "E12": IdentityDescriptor(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
         lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
@@ -514,7 +526,7 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    ((_, terms),) = _term_lists(n, n)
+    ((_, terms),) = _term_lists(n, n, descriptor.reads_sums)
     sides = descriptor.sides(terms, n)
     return _check(identity, variant, n, sides[0], sides[column])
 
@@ -531,7 +543,7 @@ def _evaluations(identity: IdentityId, variants: Sequence[Variant], n_from: int,
     walk passes the others by, so ``parts`` processes can share a range."""
     columns = _columns(identity, variants)
     descriptor = REGISTRY[identity]
-    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to)):
+    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, descriptor.reads_sums)):
         if k % parts != part:
             continue
         for n in indices:
@@ -556,8 +568,7 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
         checked += 1
         for i, rhs in failing:
             failures[i].append(_check(identity, variants[i], n, lhs, rhs))
-    descriptor = REGISTRY[identity]
-    skipped = tuple(n for n in range(n_from, n_to + 1) if not descriptor.in_domain(n))
+    skipped = _skipped(identity, n_from, n_to)
     return [RangeReport(
         identity=identity,
         variant=variant,
@@ -567,6 +578,12 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
         skipped=skipped,
         failures=tuple(failed),
     ) for variant, failed in zip(variants, failures)]
+
+
+def _skipped(identity: IdentityId, n_from: int, n_to: int) -> tuple[int, ...]:
+    """The indices of [n_from, n_to] outside the domain of ``identity``."""
+    descriptor = REGISTRY[identity]
+    return tuple(n for n in range(n_from, n_to + 1) if not descriptor.in_domain(n))
 
 
 def verify_range(identity: IdentityId, variant: Variant,

@@ -357,12 +357,15 @@ def test_argv_fuzz_exits_cleanly_and_csv_agrees_with_json():
     check()
 
 
-# --- csv: one counting process per available CPU ---------------------------------
+# --- verify: one process per available CPU --------------------------------------
 
 
-def csv_on(capsys, monkeypatch, cpus, *argv):
-    """(exit code, stdout, stderr, forks) of a csv request made with
-    ``cpus`` CPUs available to this process."""
+FORMATS = ["csv", "json", "plain"]
+
+
+def verify_on(capsys, monkeypatch, cpus, fmt, *argv):
+    """(exit code, stdout, stderr, forks) of a request in format ``fmt``
+    made with ``cpus`` CPUs available to this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = []
     fork = os.fork
@@ -372,7 +375,7 @@ def csv_on(capsys, monkeypatch, cpus, *argv):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    return (*run(capsys, *argv, "--format", "csv"), len(forks))
+    return (*run(capsys, *argv, "--format", fmt), len(forks))
 
 
 def assert_no_child_left():
@@ -380,27 +383,41 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("argv", [
     "--all --variant both --to 300",
+    # Four chunks of each quadratic row in both variants: with two or three
+    # parts, each variant's failures come from every part, interleaved.
+    "--identity T5_QUAD --variant both --from 3 --to 200",
+    "--identity T6_QUAD --variant both --from 60 --to 260",
     # Off a chunk boundary, with a residue domain.
     "--identity T4_PROD_JJO --from 5 --to 400",
     # Running sums that cross chunk starts.
     "--identity E10 --from 60 --to 200",
 ])
-def test_csv_in_parts_is_byte_identical_to_one_part_and_counts_what_json_reports(
-        capsys, monkeypatch, argv):
+def test_verify_in_parts_is_byte_identical_to_one_part(capsys, monkeypatch, argv, fmt):
     argv = ["verify", *argv.split()]
-    code, out, err, forks = csv_on(capsys, monkeypatch, 1, *argv)
+    code, out, err, forks = verify_on(capsys, monkeypatch, 1, fmt, *argv)
     assert forks == 0
     for cpus in (2, 3):
-        assert csv_on(capsys, monkeypatch, cpus, *argv) == (code, out, err, cpus - 1)
+        assert verify_on(capsys, monkeypatch, cpus, fmt, *argv) == (code, out, err, cpus - 1)
     assert_no_child_left()
-    code_json, out_json, err_json = run(capsys, *argv, "--format", "json")
-    assert (code_json, err_json) == (code, err)
-    assert csv_counts(out) == json_counts(out_json)
 
 
-def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch):
+def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch):
+    # The parts send their failures in wire form, or their counts; joined,
+    # they are the reports that verify_ranges builds in one process.
+    argv = ["verify", "--all", "--variant", "both", "--to", "300"]
+    reports = [r.to_json() for r in identities.run_suite(set(Variant), 300)]
+    code, out, _, forks = verify_on(capsys, monkeypatch, 3, "json", *argv)
+    assert (code, forks, json.loads(out)) == (1, 2, reports)
+    code, out, _, forks = verify_on(capsys, monkeypatch, 3, "csv", *argv)
+    assert (code, forks, csv_counts(out)) == (1, 2, json_counts(json.dumps(reports)))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch, fmt):
     evaluations = identities._evaluations
 
     def failing(identity, variants, n_from, n_to, part, parts):
@@ -409,15 +426,16 @@ def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch):
         return evaluations(identity, variants, n_from, n_to, part, parts)
 
     monkeypatch.setattr(identities, "_evaluations", failing)
-    code, out, err, forks = csv_on(capsys, monkeypatch, 2,
-                                   "verify", "--identity", "E4", "--to", "127")
+    code, out, err, forks = verify_on(capsys, monkeypatch, 2, fmt,
+                                      "verify", "--identity", "E4", "--to", "127")
     assert (code, out, forks) == (3, "", 1)
     assert err == ("j3o: error: ChildProcessError: a counting process failed: "
                    "RuntimeError: chunk lost\n")
     assert_no_child_left()
 
 
-def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, fmt):
     def stalled(identity, variants, n_from, n_to, part, parts):
         if part:
             time.sleep(60)
@@ -425,21 +443,22 @@ def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch):
 
     monkeypatch.setattr(identities, "_evaluations", stalled)
     start = time.monotonic()
-    code, out, err, forks = csv_on(capsys, monkeypatch, 3,
-                                   "verify", "--identity", "E4", "--to", "200")
+    code, out, err, forks = verify_on(capsys, monkeypatch, 3, fmt,
+                                      "verify", "--identity", "E4", "--to", "200")
     assert time.monotonic() - start < 30
     assert (code, out, err, forks) == (3, "", "j3o: error: RuntimeError: chunk lost\n", 2)
     assert_no_child_left()
 
 
-def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch, fmt):
     # E10's right side reads J3(n + 1): past the bound at the range's end,
-    # which only the child counts.
+    # which only the child evaluates.
     monkeypatch.setattr(sequences, "_MAX_INDEX", 200)
     argv = ["verify", "--identity", "E10", "--from", "100", "--to", "200"]
     refused = (2, "", "j3o: error: sequence index must be <= 200, got 201\n")
-    assert csv_on(capsys, monkeypatch, 1, *argv) == (*refused, 0)
-    assert csv_on(capsys, monkeypatch, 2, *argv) == (*refused, 1)
+    assert verify_on(capsys, monkeypatch, 1, fmt, *argv) == (*refused, 0)
+    assert verify_on(capsys, monkeypatch, 2, fmt, *argv) == (*refused, 1)
     assert_no_child_left()
 
 
@@ -451,26 +470,28 @@ def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch):
     ("verify --all --variant corrected --to 1000",
      "--variant corrected needs a single --identity; use --variant both with --all"),
 ])
-def test_a_refused_csv_request_forks_nothing(capsys, monkeypatch, argv, refusal):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_refused_request_forks_nothing(capsys, monkeypatch, argv, refusal, fmt):
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
-    code, out, err = run(capsys, *argv.split(), "--format", "csv")
+    code, out, err = run(capsys, *argv.split(), "--format", fmt)
     assert (code, out, err) == (2, "", f"j3o: error: {refusal}\n")
 
 
-def test_one_cpu_one_chunk_or_a_second_thread_counts_in_this_process(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_one_cpu_one_chunk_or_a_second_thread_runs_in_this_process(capsys, monkeypatch, fmt):
     argv = ["verify", "--all", "--to", "300"]
-    expected = csv_on(capsys, monkeypatch, 2, *argv)[:3]
-    assert csv_on(capsys, monkeypatch, 1, *argv) == (*expected, 0)
-    assert csv_on(capsys, monkeypatch, 2, "verify", "--all", "--to", "63")[3] == 0
+    expected = verify_on(capsys, monkeypatch, 2, fmt, *argv)[:3]
+    assert verify_on(capsys, monkeypatch, 1, fmt, *argv) == (*expected, 0)
+    assert verify_on(capsys, monkeypatch, 2, fmt, "verify", "--all", "--to", "63")[3] == 0
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert csv_on(capsys, monkeypatch, 2, *argv) == (*expected, 0)
+        assert verify_on(capsys, monkeypatch, 2, fmt, *argv) == (*expected, 0)
     finally:
         stop.set()
         thread.join(timeout=10)

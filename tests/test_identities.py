@@ -509,7 +509,7 @@ def test_term_lists_hold_one_window(n_from, n_to):
     # Each chunk holds the terms n - 3 .. n + 10 of its indices and nothing
     # else, however far the range runs; its sums are those of its indices.
     seen = []
-    for indices, t in _term_lists(n_from, n_to):
+    for indices, t in _term_lists(n_from, n_to, sums=True):
         seen += indices
         assert len(indices) <= _CHUNK
         window = range(max(indices[0] - 3, 0), indices[-1] + 11)
@@ -519,6 +519,29 @@ def test_term_lists_hold_one_window(n_from, n_to):
                 islice(seq_terms(kind, window[0]), len(window)))
             assert [sums[n] for n in indices] == [partial_sum(kind, n) for n in indices]
     assert seen == list(range(n_from, n_to + 1))
+
+
+def test_only_the_partial_sum_rows_reach_running_sums(monkeypatch):
+    # A range of any other row neither powers to the sums below n_from nor
+    # builds them chunk by chunk: its terms carry none.
+    reached = []
+    running_sum = identities._running_sum
+
+    def counted(kind, n):
+        reached.append(kind)
+        return running_sum(kind, n)
+
+    monkeypatch.setattr(identities, "_running_sum", counted)
+    for identity, descriptor in REGISTRY.items():
+        reached.clear()
+        reports = verify_ranges(identity, descriptor.variants, 1000, 1000 + 2 * _CHUNK)
+        assert reports == reference_ranges(identity, descriptor.variants,
+                                           1000, 1000 + 2 * _CHUNK)
+        reads_sums = identity in (IdentityId.E10, IdentityId.E11)
+        assert descriptor.reads_sums == reads_sums
+        assert reached == (list(THIRD_ORDER_KINDS) if reads_sums else [])
+    for _, t in _term_lists(5, 5 + 2 * _CHUNK, sums=False):
+        assert (t.j_sum, t.l_sum) == (None, None)
 
 
 @pytest.mark.parametrize("kind", THIRD_ORDER_KINDS)
