@@ -362,6 +362,19 @@ def test_argv_fuzz_exits_cleanly_and_csv_agrees_with_json():
 
 FORMATS = ["csv", "json", "plain"]
 
+# Requests of three or more chunks, so that two or three parts all run.
+PART_REQUESTS = [
+    "--all --variant both --to 300",
+    # Four chunks of each quadratic row in both variants: with two or three
+    # parts, each variant's failures come from every part, interleaved.
+    "--identity T5_QUAD --variant both --from 3 --to 200",
+    "--identity T6_QUAD --variant both --from 60 --to 260",
+    # Off a chunk boundary, with a residue domain.
+    "--identity T4_PROD_JJO --from 5 --to 400",
+    # Running sums that cross chunk starts.
+    "--identity E10 --from 60 --to 200",
+]
+
 
 def verify_on(capsys, monkeypatch, cpus, fmt, *argv):
     """(exit code, stdout, stderr, forks) of a request in format ``fmt``
@@ -384,17 +397,7 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("argv", [
-    "--all --variant both --to 300",
-    # Four chunks of each quadratic row in both variants: with two or three
-    # parts, each variant's failures come from every part, interleaved.
-    "--identity T5_QUAD --variant both --from 3 --to 200",
-    "--identity T6_QUAD --variant both --from 60 --to 260",
-    # Off a chunk boundary, with a residue domain.
-    "--identity T4_PROD_JJO --from 5 --to 400",
-    # Running sums that cross chunk starts.
-    "--identity E10 --from 60 --to 200",
-])
+@pytest.mark.parametrize("argv", PART_REQUESTS)
 def test_verify_in_parts_is_byte_identical_to_one_part(capsys, monkeypatch, argv, fmt):
     argv = ["verify", *argv.split()]
     code, out, err, forks = verify_on(capsys, monkeypatch, 1, fmt, *argv)
@@ -404,15 +407,31 @@ def test_verify_in_parts_is_byte_identical_to_one_part(capsys, monkeypatch, argv
     assert_no_child_left()
 
 
-def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch):
+def library_reports(argv):
+    """The wire form of the reports that the library builds in one process
+    for a verify request ``argv``."""
+    args = cli.build_parser().parse_args(argv)
+    if args.all:
+        variants = set(Variant) if args.variant == "both" else {Variant.AS_PRINTED}
+        return [r.to_json() for r in identities.run_suite(variants, args.n_to, args.n_from)]
+    identity = identities.IdentityId[args.identity]
+    variants = (identities.REGISTRY[identity].variants if args.variant == "both"
+                else (Variant(args.variant),))
+    return [r.to_json() for r in identities.verify_ranges(identity, variants,
+                                                          args.n_from, args.n_to)]
+
+
+@pytest.mark.parametrize("argv", PART_REQUESTS)
+def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch, argv):
     # The parts send their failures in wire form, or their counts; joined,
     # they are the reports that verify_ranges builds in one process.
-    argv = ["verify", "--all", "--variant", "both", "--to", "300"]
-    reports = [r.to_json() for r in identities.run_suite(set(Variant), 300)]
+    argv = ["verify", *argv.split()]
+    reports = library_reports(argv)
+    failed = int(any(r["failures"] for r in reports))
     code, out, _, forks = verify_on(capsys, monkeypatch, 3, "json", *argv)
-    assert (code, forks, json.loads(out)) == (1, 2, reports)
+    assert (code, forks, json.loads(out)) == (failed, 2, reports)
     code, out, _, forks = verify_on(capsys, monkeypatch, 3, "csv", *argv)
-    assert (code, forks, csv_counts(out)) == (1, 2, json_counts(json.dumps(reports)))
+    assert (code, forks, csv_counts(out)) == (failed, 2, json_counts(json.dumps(reports)))
     assert_no_child_left()
 
 
