@@ -12,12 +12,12 @@ decimal strings: coefficients outgrow 64-bit integers quickly, and strings
 round-trip losslessly through JSON and CSV.
 
 A ``verify`` runs on up to one process per CPU available to this one, each
-taking alternate chunks of every range (``_verified``): a part counts its
-checks and failures, and for json and plain also writes out each failure's
-exact witness, so the costly decimal conversion is shared too.  The output
-is that of one process.  It stays in one process when the range is one
-chunk, the platform has no ``fork`` or ``sched_getaffinity``, or this
-process runs other threads.
+taking alternate chunks of every range (``_verified``): a part tallies
+its checks and failures (``identities._tally``), for json and plain with
+each failure's exact witness, so the costly decimal conversion is shared
+too.  The output is that of one process.  It stays in one process when
+the range is one chunk, the platform has no ``fork`` or
+``sched_getaffinity``, or this process runs other threads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import IO, TYPE_CHECKING, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import DomainError, UnknownVariantError
 from .octonion import MULTIPLICATION_TABLE, _decimal_str
@@ -35,7 +35,7 @@ from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
 
 if TYPE_CHECKING:
-    from .identities import IdentityId, Variant
+    from .identities import IdentityId, Variant, VerificationReport
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -171,32 +171,9 @@ def _parts(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _part_results(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int,
-                  n_to: int, part: int, parts: int, witnesses: bool) -> list[list]:
-    """[checked, then the failures of each variant] of each target over
-    chunks ``part``, ``part + parts``, ... of [n_from, n_to].  The failures
-    are counted or, with ``witnesses``, listed in their wire form
-    (``VerificationReport.to_json``), decimal strings that a pipe carries
-    as they are.  Counting builds no report and computes no delta, so a
-    range holds no witness."""
-    from .identities import _check, _evaluations
-
-    results = []
-    for identity, variants in targets:
-        tally = [0, *([] if witnesses else 0 for _ in variants)]
-        for n, lhs, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
-            tally[0] += 1
-            for i, rhs in failing:
-                tally[1 + i] += ([_check(identity, variants[i], n, lhs, rhs).to_json()]
-                                 if witnesses else 1)
-        results.append(tally)
-    return results
-
-
-def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int,
-               n_to: int, part: int, parts: int, witnesses: bool) -> tuple[int, IO[str]]:
-    """A child process that runs ``_part_results``: its pid, and the pipe
-    on which it sends one json line, its results or its error."""
+def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[int, IO[str]]:
+    """A child process that runs ``part_results(part)``: its pid, and the
+    pipe on which it sends one json line, its results or its error."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -212,7 +189,7 @@ def _fork_part(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     try:
         os.close(read)
         try:
-            result = {"results": _part_results(targets, n_from, n_to, part, parts, witnesses)}
+            result = {"results": part_results(part)}
         except DomainError as exc:
             result = {"domain": str(exc)}
         except Exception as exc:
@@ -235,10 +212,10 @@ def _received(pipe: IO[str]) -> list[list]:
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
-              witnesses: bool) -> list[tuple]:
+              keep: Optional[Callable[[VerificationReport], dict]]) -> list[tuple]:
     """(identity, variant, checked, failures) of each variant of ``targets``
-    over [n_from, n_to], failures as ``_part_results`` gives them, in
-    order of n.
+    over [n_from, n_to], failures as ``_tally`` gives them: counted, or in
+    order of n in the wire form ``keep`` makes, which a pipe carries as is.
 
     The range's chunks are dealt out to P = ``_parts`` processes: this one
     takes chunks 0, P, 2P, ... of every target, and forked child k chunks
@@ -249,17 +226,22 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     counts add up, and the failures, joined and put in order of n, are
     those of one process.  No child outlives the call: on any error here
     the children are killed, and every child is reaped."""
-    from .identities import _CHUNK
+    from .identities import _CHUNK, _tally
 
     # Every part's walk checks the bound too; checking it here forks nothing
     # for a request that is refused.
     _check_index(n_to)
     parts = _parts(len(range(n_from, n_to + 1, _CHUNK)))
+
+    def part_results(part: int) -> list[list]:
+        return [_tally(identity, variants, n_from, n_to, part, parts, keep)
+                for identity, variants in targets]
+
     children: list[tuple[int, IO[str]]] = []
     try:
         for part in range(1, parts):
-            children.append(_fork_part(targets, n_from, n_to, part, parts, witnesses))
-        results = _part_results(targets, n_from, n_to, 0, parts, witnesses)
+            children.append(_fork_part(part_results, part))
+        results = part_results(0)
         for _, pipe in children:
             # Counts add up and failure lists join, in order of part.
             results = [[a + b for a, b in zip(mine, theirs)]
@@ -275,7 +257,7 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
             pipe.close()
             os.waitpid(pid, 0)
     return [(identity, variant, checked,
-             sorted(failed, key=lambda failure: failure["n"]) if witnesses else failed)
+             sorted(failed, key=lambda failure: failure["n"]) if keep else failed)
             for (identity, variants), (checked, *failures) in zip(targets, results)
             for variant, failed in zip(variants, failures)]
 
@@ -301,11 +283,12 @@ def _format_reports(reports: list[dict], fmt: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import _range_json, _skipped
+    from .identities import VerificationReport, _range_json, _skipped
 
     targets = _verify_targets(args)
     n_from, n_to = args.n_from, args.n_to
-    results = _verified(targets, n_from, n_to, witnesses=args.format != "csv")
+    results = _verified(targets, n_from, n_to,
+                        None if args.format == "csv" else VerificationReport.to_json)
     if args.format == "csv":
         text = "".join(f"{identity.name},{variant.value},{n_from},{n_to},{checked},"
                        f"{n_to - n_from + 1 - checked},{failed}\n"

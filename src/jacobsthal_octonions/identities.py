@@ -16,11 +16,11 @@ values; ``verify_ranges`` (``verify_range`` for one variant) and
 for every variant and recording out-of-domain indices as skips, never as
 failures.  A range is walked from n_from - 3, a chunk of indices at a
 time, so it holds O(n) bits of terms at index n, and it builds a report
-only for a failing index.  ``_evaluations`` is that walk: a caller that
-needs only counts reads it and keeps no report.  ``j3o verify`` reads it
-in up to one process per CPU, each of which walks the whole range but
-evaluates only alternate chunks of it.  There are no tolerances anywhere:
-passed means the delta is exactly zero.
+only for a failing index.  ``_evaluations`` is that walk, and ``_tally``
+the one count over it, of failures or of what a caller keeps of their
+reports.  ``j3o verify`` tallies in up to one process per CPU, each of
+which walks the whole range but evaluates only alternate chunks of it.
+There are no tolerances anywhere: passed means the delta is exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
 variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
@@ -49,6 +49,7 @@ from .sequences import (
     THIRD_ORDER_KINDS,
     SequenceKind,
     _check_index,
+    _x_power,
     correction,
     partial_sum_closed,
     seq_terms,
@@ -87,26 +88,13 @@ def _running_sum(kind: SequenceKind, n: int) -> int:
 
     The running sum S obeys its own recurrence S(n+4) = 2*S(n+3) + S(n+1) -
     2*S(n), whose polynomial (x - 1)(x^3 - x^2 - x - 2) = x^4 - 2x^3 - x + 2
-    adds the root 1 to those of the terms.  So S(n) is reached like a term:
-    x^n modulo that polynomial by square-and-multiply, applied to S(0..3).
+    adds the root 1 to those of the terms.  So S(n) is reached like a term,
+    the residue of x^n modulo it (``sequences._x_power``) applied to S(0..3).
     This stays the recurrence path; the closed form is the right side."""
     if n < 0:
         return 0
-    c0, c1, c2, c3 = 1, 0, 0, 0
-    for bit in bin(n)[2:]:
-        d = [c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * (c0 * c3 + c1 * c2),
-             c2 * c2 + 2 * c1 * c3, 2 * c2 * c3, c3 * c3]
-        if bit == "1":
-            d.insert(0, 0)
-        # x^k = x^(k-4) * (2x^3 + x - 2), from the top coefficient down.
-        for k in range(len(d) - 1, 3, -1):
-            top = d.pop()
-            d[k - 1] += 2 * top
-            d[k - 3] += top
-            d[k - 4] -= 2 * top
-        c0, c1, c2, c3 = d
     seeds = accumulate(islice(seq_terms(kind), 4))
-    return sum(c * s for c, s in zip((c0, c1, c2, c3), seeds))
+    return sum(c * s for c, s in zip(_x_power(kind, n), seeds))
 
 
 def _term_lists(n_from: int, n_to: int, sums: bool) -> Iterator[tuple[range, _Terms]]:
@@ -553,6 +541,22 @@ def _evaluations(identity: IdentityId, variants: Sequence[Variant], n_from: int,
                                     if sides[0] != sides[column]]
 
 
+def _tally(identity: IdentityId, variants: Sequence[Variant], n_from: int, n_to: int,
+           part: int = 0, parts: int = 1,
+           keep: Optional[Callable[[VerificationReport], object]] = None) -> list:
+    """[checked, then the failures of each of ``variants``] over chunks
+    ``part``, ``part + parts``, ... of [n_from, n_to] (``_evaluations``).
+    The failures are counted or, with ``keep``, listed as what it makes of
+    each one's report, in order of n.  Counting builds no report and
+    computes no delta, so a range holds no witness."""
+    tally = [0, *([] if keep else 0 for _ in variants)]
+    for n, lhs, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
+        tally[0] += 1
+        for i, rhs in failing:
+            tally[1 + i] += [keep(_check(identity, variants[i], n, lhs, rhs))] if keep else 1
+    return tally
+
+
 def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
                   n_from: int, n_to: int) -> list[RangeReport]:
     """Apply ``verify`` at every n in [n_from, n_to] for each of
@@ -562,12 +566,7 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
     index, so the left side is shared by every variant."""
     if n_from < 0 or n_to < n_from:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    failures: list[list[VerificationReport]] = [[] for _ in variants]
-    checked = 0
-    for n, lhs, failing in _evaluations(identity, variants, n_from, n_to):
-        checked += 1
-        for i, rhs in failing:
-            failures[i].append(_check(identity, variants[i], n, lhs, rhs))
+    checked, *failures = _tally(identity, variants, n_from, n_to, keep=lambda report: report)
     skipped = _skipped(identity, n_from, n_to)
     return [RangeReport(
         identity=identity,

@@ -96,24 +96,31 @@ def _check_index(n: int) -> None:
 
 
 def _x_power(kind: SequenceKind, n: int) -> tuple[int, ...]:
-    """x^n modulo the characteristic polynomial of ``kind``, as its
-    coefficients from the constant up, by square-and-multiply (C. M.
+    """x^n modulo a multiple of the characteristic polynomial of ``kind``,
+    as its coefficients from the constant up, by square-and-multiply (C. M.
     Fiduccia, "An efficient formula for linear recurrences", SIAM J.
-    Comput. 14 (1985)).  Term n is then sum(c[i] * term(i)): only the
-    recurrence is used, never the closed form."""
+    Comput. 14 (1985)).  Term n is then sum(c[i] * term(i)) for any sequence
+    the multiple annihilates: x^2 - x - 2 for J and JL, and for J3 and JL3
+    (x - 2)(x^3 - 1) = x^4 - 2x^3 - x + 2, which adds the root 1 and so also
+    fits their running sums (``identities._running_sum``).  Its c1 and c2
+    are 0 or 1, so a squaring takes three large products, not six.  Its
+    closed form, x^(n mod 3) + (2^n - 2^(n mod 3))/7 * (x^3 - 1), is the
+    Binet form: a left side built on it would not be independent."""
     # One reduction per order, unrolled.  Each bit of n squares the residue,
     # then multiplies it by x when the bit is set.
     if kind in THIRD_ORDER_KINDS:
-        # x^3 = x^2 + x + 2, hence x^4 = x^3 + x^2 + 2x.
-        c0, c1, c2 = 1, 0, 0
+        # x^4 = 2x^3 + x - 2; e5, e4: the square's x^5, x^4 once x^6, x^5 fold down.
+        c0, c1, c2, c3 = 1, 0, 0, 0
         for bit in bin(n)[2:]:
-            d0, d1, d2 = c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2
-            d3, d4 = 2 * c1 * c2, c2 * c2
-            d3 += d4
-            c0, c1, c2 = d0 + 2 * d3, d1 + 2 * d4 + d3, d2 + d4 + d3
+            d6 = c3 * c3
+            e5 = 2 * (c2 * c3 + d6)
+            e4 = c2 * c2 + 2 * (c1 * c3 + e5)
+            c0, c1, c2, c3 = (c0 * c0 - 2 * e4, 2 * c0 * c1 + e4 - 2 * e5,
+                              c1 * c1 + 2 * c0 * c2 + e5 - 2 * d6,
+                              2 * (c0 * c3 + c1 * c2 + e4) + d6)
             if bit == "1":
-                c0, c1, c2 = 2 * c2, c0 + c2, c1 + c2
-        return c0, c1, c2
+                c0, c1, c2, c3 = -2 * c3, c0 + c3, c1, c2 + 2 * c3
+        return c0, c1, c2, c3
     # x^2 = x + 2.
     c0, c1 = 1, 0
     for bit in bin(n)[2:]:
@@ -124,13 +131,13 @@ def _x_power(kind: SequenceKind, n: int) -> tuple[int, ...]:
     return c0, c1
 
 
-def _state(kind: SequenceKind, n: int) -> tuple[int, ...]:
-    """Terms n, n + 1 (and n + 2 for a third-order kind) of ``kind``."""
+def _state(kind: SequenceKind, n: int, size: int) -> list[int]:
+    """Terms n, ..., n + size - 1 of ``kind``."""
     c = _x_power(kind, n)
     # The same residue shifts along the walk: term n + k is
-    # sum(c[i] * term(i + k)), so the first 2*order - 1 terms suffice.
-    head = list(islice(_walk(*_SEEDS[kind]), 2 * len(c) - 1))
-    return tuple(sum(ci * t for ci, t in zip(c, head[k:])) for k in range(len(c)))
+    # sum(c[i] * term(i + k)).
+    head = list(islice(_walk(*_SEEDS[kind]), len(c) + size - 1))
+    return [sum(ci * t for ci, t in zip(c, head[k:])) for k in range(size)]
 
 
 def _walk(a: int, b: int, c: int | None = None) -> Iterator[int]:
@@ -151,14 +158,14 @@ def seq_terms(kind: SequenceKind, start: int = 0) -> Iterator[int]:
     recurrence.  The walk begins at ``start``, reached in O(log start)
     products by powering, and holds only its last two or three terms."""
     _check_index(start)
-    return _walk(*_state(kind, start))
+    return _walk(*_state(kind, start, len(_SEEDS[kind])))
 
 
 def seq_value(kind: SequenceKind, n: int) -> int:
     """The n-th term of ``kind``, computed from its defining recurrence by
     powering, in O(log n) products."""
     _check_index(n)
-    return _state(kind, n)[0]
+    return _state(kind, n, 1)[0]
 
 
 def seq_closed(kind: SequenceKind, n: int) -> int:

@@ -38,6 +38,7 @@ from jacobsthal_octonions.sequences import (
     THIRD_ORDER_KINDS,
     SequenceKind,
     partial_sum,
+    partial_sum_closed,
     seq_terms,
 )
 
@@ -553,3 +554,5 @@ def test_running_sums_by_powering_equal_the_literal_sum(kind):
     assert [_running_sum(kind, n) for n in range(400)] == sums
     for n in random.Random(11).sample(range(400, 10 ** 4), 12) + [10 ** 4]:
         assert _running_sum(kind, n) == partial_sum(kind, n), n
+    # The largest n that E10 and E11 accept, against the closed form.
+    assert _running_sum(kind, 10 ** 6 - 1) == partial_sum_closed(kind, 10 ** 6 - 1)

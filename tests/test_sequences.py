@@ -167,7 +167,7 @@ def test_term_walk_matches_single_terms(kind):
     assert list(islice(seq_terms(kind), 201)) == [seq_value(kind, n) for n in range(201)]
 
 
-@pytest.mark.parametrize("n", [14300, 30000])
+@pytest.mark.parametrize("n", [14300, 30000, sequences._MAX_INDEX])
 def test_recurrence_matches_closed_form_at_large_n(n):
     for kind in THIRD_ORDER_KINDS:
         assert seq_value(kind, n) == seq_closed(kind, n)
@@ -220,6 +220,15 @@ def test_powering_matches_walk_and_closed_form(kind):
     walked = _walked(kind, indices)
     for n in indices:
         assert seq_value(kind, n) == walked[n] == _closed(kind, n), n
+
+
+def test_third_order_residue_has_constant_middle_coefficients():
+    # x^n modulo (x - 2)(x^3 - 1) is x^(n mod 3) plus a multiple of x^3 - 1,
+    # so c1 and c2 are 0 or 1: a squaring has three large products, not six.
+    rng = random.Random(1985)
+    for kind in THIRD_ORDER_KINDS:
+        for n in [*range(30), *rng.sample(range(30, 10 ** 5 + 1), 30)]:
+            assert sequences._x_power(kind, n)[1:3] == ((0, 0), (1, 0), (0, 1))[n % 3], n
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
