@@ -12,10 +12,12 @@ decimal strings: coefficients outgrow 64-bit integers quickly, and strings
 round-trip losslessly through JSON and CSV.
 
 A ``verify`` runs on up to one process per CPU available to this one, each
-taking alternate chunks of every range (``_verified``): a part tallies
-its checks and failures (``identities._tally``), for json and plain with
-each failure's exact witness, so the costly decimal conversion is shared
-too.  The output is that of one process.  It stays in one process when
+taking alternate chunks of the range (``_verified``): a part walks the
+terms once for every row of the request and tallies their checks and
+failures (``identities._tally``), for json and plain with each failure's
+exact witness, so the costly decimal conversion is shared too.  Every
+format writes the reports in their wire form (``_format_reports``).  The
+output is that of one process.  It stays in one process when
 the range is one chunk, the platform has no ``fork`` or
 ``sched_getaffinity``, or this process runs other threads.
 """
@@ -29,7 +31,7 @@ import sys
 from itertools import islice
 from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
 
-from .errors import DomainError, UnknownVariantError
+from .errors import DomainError
 from .octonion import MULTIPLICATION_TABLE, _decimal_str
 from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
@@ -132,30 +134,24 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, Sequence[Variant]]]:
+def _verify_targets(args: argparse.Namespace) -> list[tuple[IdentityId, list[Variant]]]:
     # Only verify loads the identity table: seq, oct and mul-table never read it.
-    from .identities import REGISTRY, IdentityId, Variant, _columns, _suite_targets
+    from .identities import IdentityId, Variant, _suite_targets
 
     if args.n_from < 0 or args.n_to < args.n_from:
         raise UsageError(f"need 0 <= from <= to, got [{args.n_from}, {args.n_to}]")
-    if args.all:
-        if args.variant == "corrected":
-            raise UsageError("--variant corrected needs a single --identity; "
-                             "use --variant both with --all")
-        return _suite_targets(set(Variant) if args.variant == "both" else {Variant.AS_PRINTED})
-    try:
-        identity = IdentityId[args.identity]
-    except KeyError:
+    if args.all and args.variant == "corrected":
+        raise UsageError("--variant corrected needs a single --identity; "
+                         "use --variant both with --all")
+    if not args.all and args.identity not in IdentityId.__members__:
         raise UsageError(f"unknown identity {args.identity!r}; known ids: "
-                         + ", ".join(i.name for i in IdentityId)) from None
-    if args.variant == "both":
-        return [(identity, REGISTRY[identity].variants)]
-    variants = (Variant(args.variant),)
-    try:
-        _columns(identity, variants)
-    except UnknownVariantError as exc:
-        raise UsageError(str(exc)) from None
-    return [(identity, variants)]
+                         + ", ".join(i.name for i in IdentityId))
+    variants = set(Variant) if args.variant == "both" else {Variant(args.variant)}
+    targets = [(identity, wanted) for identity, wanted in _suite_targets(variants)
+               if args.all or identity.name == args.identity]
+    if not targets:
+        raise UsageError(f"{args.identity} has no corrected variant")
+    return targets
 
 
 def _parts(chunks: int) -> int:
@@ -212,21 +208,22 @@ def _received(pipe: IO[str]) -> list[list]:
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
-              keep: Optional[Callable[[VerificationReport], dict]]) -> list[tuple]:
-    """(identity, variant, checked, failures) of each variant of ``targets``
-    over [n_from, n_to], failures as ``_tally`` gives them: counted, or in
-    order of n in the wire form ``keep`` makes, which a pipe carries as is.
+              keep: Optional[Callable[[VerificationReport], dict]]) -> list[dict]:
+    """The report of each variant of ``targets`` over [n_from, n_to] in
+    wire form (``identities._range_json``), its failures as ``_tally``
+    gives them: counted, or in order of n in the wire form ``keep`` makes,
+    which a pipe carries as is.
 
     The range's chunks are dealt out to P = ``_parts`` processes: this one
-    takes chunks 0, P, 2P, ... of every target, and forked child k chunks
+    takes chunks 0, P, 2P, ... of the request, and forked child k chunks
     k, k + P, ..., so each gets a share of every row's cheap and costly
-    indices.  Each walks the terms of the whole range, which costs little
-    beside evaluating the sides, and so reaches each of its chunks without
-    powering into it.  A child sends its results as one json line.  The
-    counts add up, and the failures, joined and put in order of n, are
+    indices.  Each walks the terms of the whole range once, which costs
+    little beside evaluating the sides, and so reaches each of its chunks
+    without powering into it.  A child sends its results as one json line.
+    The counts add up, and the failures, joined and put in order of n, are
     those of one process.  No child outlives the call: on any error here
     the children are killed, and every child is reaped."""
-    from .identities import _CHUNK, _tally
+    from .identities import _CHUNK, _range_json, _skipped, _tally
 
     # Every part's walk checks the bound too; checking it here forks nothing
     # for a request that is refused.
@@ -234,8 +231,7 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     parts = _parts(len(range(n_from, n_to + 1, _CHUNK)))
 
     def part_results(part: int) -> list[list]:
-        return [_tally(identity, variants, n_from, n_to, part, parts, keep)
-                for identity, variants in targets]
+        return _tally(targets, n_from, n_to, part, parts, keep)
 
     children: list[tuple[int, IO[str]]] = []
     try:
@@ -256,16 +252,21 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    return [(identity, variant, checked,
-             sorted(failed, key=lambda failure: failure["n"]) if keep else failed)
+    return [_range_json(identity, variant, n_from, n_to, checked,
+                        _skipped(identity, n_from, n_to),
+                        sorted(failed, key=lambda failure: failure["n"]) if keep else failed)
             for (identity, variants), (checked, *failures) in zip(targets, results)
             for variant, failed in zip(variants, failures)]
 
 
 def _format_reports(reports: list[dict], fmt: str) -> str:
-    """json or plain text of reports in their wire form (``_range_json``)."""
+    """json, csv or plain text of reports in their wire form
+    (``_range_json``); in csv their failures are counts, not lists."""
     if fmt == "json":
         return json.dumps(reports, indent=2) + "\n"
+    if fmt == "csv":
+        return "".join(f"{r['id']},{r['variant']},{r['n_from']},{r['n_to']},{r['checked']},"
+                       f"{len(r['skipped'])},{r['failures']}\n" for r in reports)
     lines = []
     for r in reports:
         status = "FAIL" if r["failures"] else "ok"
@@ -283,27 +284,16 @@ def _format_reports(reports: list[dict], fmt: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import VerificationReport, _range_json, _skipped
+    from .identities import VerificationReport
 
-    targets = _verify_targets(args)
-    n_from, n_to = args.n_from, args.n_to
-    results = _verified(targets, n_from, n_to,
+    reports = _verified(_verify_targets(args), args.n_from, args.n_to,
                         None if args.format == "csv" else VerificationReport.to_json)
-    if args.format == "csv":
-        text = "".join(f"{identity.name},{variant.value},{n_from},{n_to},{checked},"
-                       f"{n_to - n_from + 1 - checked},{failed}\n"
-                       for identity, variant, checked, failed in results)
-    else:
-        text = _format_reports([_range_json(identity, variant, n_from, n_to, checked,
-                                            _skipped(identity, n_from, n_to), failed)
-                                for identity, variant, checked, failed in results],
-                               args.format)
-    _emit(text, args.out)
-    for identity, variant, checked, _ in results:
-        if not checked:
-            print(f"j3o: warning: {identity.name} {variant.value} [{n_from},{n_to}]: "
+    _emit(_format_reports(reports, args.format), args.out)
+    for r in reports:
+        if not r["checked"]:
+            print(f"j3o: warning: {r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
                   f"nothing checked, no index is in the identity's domain", file=sys.stderr)
-    return EXIT_DISCREPANCY if any(failed for *_, failed in results) else EXIT_OK
+    return EXIT_DISCREPANCY if any(r["failures"] for r in reports) else EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -14,13 +14,14 @@ two independent computation paths over the terms ``_term_lists`` builds:
 values; ``verify_ranges`` (``verify_range`` for one variant) and
 ``run_suite`` aggregate over index ranges, evaluating each left side once
 for every variant and recording out-of-domain indices as skips, never as
-failures.  A range is walked from n_from - 3, a chunk of indices at a
+failures.  ``_tally`` is the one count over a request, of failures or of
+what a caller keeps of their reports: it walks the range's terms once for
+every row of the request, from n_from - 3 and a chunk of indices at a
 time, so it holds O(n) bits of terms at index n, and it builds a report
-only for a failing index.  ``_evaluations`` is that walk, and ``_tally``
-the one count over it, of failures or of what a caller keeps of their
-reports.  ``j3o verify`` tallies in up to one process per CPU, each of
-which walks the whole range but evaluates only alternate chunks of it.
-There are no tolerances anywhere: passed means the delta is exactly zero.
+only for a failing index.  ``j3o verify`` tallies in up to one process per
+CPU, each of which walks the whole range but evaluates only alternate
+chunks of it.  There are no tolerances anywhere: passed means the delta is
+exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
 variants (for T5_QUAD and T6_QUAD) are separate, labeled right sides whose
@@ -68,7 +69,7 @@ class _Terms(NamedTuple):
     """The J3 and JL3 terms and their running sums that one chunk of a
     range reads, indexed by term index: j[n] = J3(n), j_sum[n] = J3(0) +
     ... + J3(n), and likewise l and l_sum for JL3.  The sums are None
-    where no row of the range reads them."""
+    where no row of the request reads them."""
 
     j: list
     l: list
@@ -519,42 +520,53 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
     return _check(identity, variant, n, sides[0], sides[column])
 
 
-def _evaluations(identity: IdentityId, variants: Sequence[Variant], n_from: int, n_to: int,
-                 part: int = 0, parts: int = 1,
-                 ) -> Iterator[tuple[int, Value, list[tuple[int, Value]]]]:
-    """(n, lhs, failing) for each n in [n_from, n_to] in the domain of
-    ``identity``, in order: the sides are evaluated once, and ``failing``
-    pairs the position in ``variants`` of each variant whose right side
-    differs from lhs with that right side.  Nothing else is kept, so a
-    caller holds what it keeps of these and one chunk of terms.  Only the
-    chunks ``part``, ``part + parts``, ... of the range are evaluated; the
-    walk passes the others by, so ``parts`` processes can share a range."""
-    columns = _columns(identity, variants)
-    descriptor = REGISTRY[identity]
-    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, descriptor.reads_sums)):
-        if k % parts != part:
-            continue
-        for n in indices:
-            if descriptor.in_domain(n):
-                sides = descriptor.sides(terms, n)
-                yield n, sides[0], [(i, sides[column]) for i, column in enumerate(columns)
-                                    if sides[0] != sides[column]]
-
-
-def _tally(identity: IdentityId, variants: Sequence[Variant], n_from: int, n_to: int,
+def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
            part: int = 0, parts: int = 1,
-           keep: Optional[Callable[[VerificationReport], object]] = None) -> list:
-    """[checked, then the failures of each of ``variants``] over chunks
-    ``part``, ``part + parts``, ... of [n_from, n_to] (``_evaluations``).
+           keep: Optional[Callable[[VerificationReport], object]] = None) -> list[list]:
+    """[checked, then the failures of each of its variants] for each
+    ``(identity, variants)`` of ``targets``, in order, over [n_from, n_to].
+
+    The terms are walked once for every target, with the running sums when
+    any target reads them, and each target's sides are evaluated once per
+    index of its domain, so its variants share the left side.  Only the
+    chunks ``part``, ``part + parts``, ... of the range are evaluated; the
+    walk passes the others by, so ``parts`` processes can share a range.
     The failures are counted or, with ``keep``, listed as what it makes of
     each one's report, in order of n.  Counting builds no report and
-    computes no delta, so a range holds no witness."""
-    tally = [0, *([] if keep else 0 for _ in variants)]
-    for n, lhs, failing in _evaluations(identity, variants, n_from, n_to, part, parts):
-        tally[0] += 1
-        for i, rhs in failing:
-            tally[1 + i] += [keep(_check(identity, variants[i], n, lhs, rhs))] if keep else 1
-    return tally
+    computes no delta, so a range holds no witness, and a caller holds
+    what it keeps and one chunk of terms."""
+    rows = [(identity, REGISTRY[identity], variants, _columns(identity, variants))
+            for identity, variants in targets]
+    tallies = [[0, *([] if keep else 0 for _ in variants)] for _, variants in targets]
+    sums = any(descriptor.reads_sums for _, descriptor, *_ in rows)
+    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, sums)):
+        if k % parts != part:
+            continue
+        for (identity, descriptor, variants, columns), tally in zip(rows, tallies):
+            for n in indices:
+                if not descriptor.in_domain(n):
+                    continue
+                tally[0] += 1
+                sides = descriptor.sides(terms, n)
+                for i, column in enumerate(columns):
+                    if sides[0] != sides[column]:
+                        tally[1 + i] += ([keep(_check(identity, variants[i], n, sides[0],
+                                                      sides[column]))] if keep else 1)
+    return tallies
+
+
+def _range_reports(targets: Sequence[tuple[IdentityId, Sequence[Variant]]],
+                   n_from: int, n_to: int) -> list[RangeReport]:
+    """One ``RangeReport`` for each variant of each ``(identity,
+    variants)`` of ``targets``, in order, from one ``_tally`` of them all."""
+    if n_from < 0 or n_to < n_from:
+        raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
+    tallies = _tally(targets, n_from, n_to, keep=lambda report: report)
+    return [RangeReport(identity=identity, variant=variant, n_from=n_from, n_to=n_to,
+                        total_checked=checked, skipped=_skipped(identity, n_from, n_to),
+                        failures=tuple(failed))
+            for (identity, variants), (checked, *failures) in zip(targets, tallies)
+            for variant, failed in zip(variants, failures)]
 
 
 def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
@@ -564,19 +576,7 @@ def verify_ranges(identity: IdentityId, variants: Sequence[Variant],
     for exact failures: one report per variant, in the order given.  The
     terms are generated once for the whole range, and the sides once per
     index, so the left side is shared by every variant."""
-    if n_from < 0 or n_to < n_from:
-        raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
-    checked, *failures = _tally(identity, variants, n_from, n_to, keep=lambda report: report)
-    skipped = _skipped(identity, n_from, n_to)
-    return [RangeReport(
-        identity=identity,
-        variant=variant,
-        n_from=n_from,
-        n_to=n_to,
-        total_checked=checked,
-        skipped=skipped,
-        failures=tuple(failed),
-    ) for variant, failed in zip(variants, failures)]
+    return _range_reports([(identity, variants)], n_from, n_to)
 
 
 def _skipped(identity: IdentityId, n_from: int, n_to: int) -> tuple[int, ...]:
@@ -605,9 +605,7 @@ def _suite_targets(variants: Collection[Variant]) -> list[tuple[IdentityId, list
 def run_suite(variants: Collection[Variant], n_to: int,
               n_from: int = 0) -> list[RangeReport]:
     """Run every registered identity over [n_from, n_to] in each of
-    ``variants`` that it has, in registry order, one pass per identity.
-    Ordering is fixed so suite outputs diff cleanly across runs."""
-    if n_to < 0:
-        raise ValueError(f"n_to must be >= 0, got {n_to}")
-    return [report for identity, wanted in _suite_targets(variants)
-            for report in verify_ranges(identity, wanted, n_from, n_to)]
+    ``variants`` that it has, in registry order, from one walk of the
+    range's terms.  Ordering is fixed so suite outputs diff cleanly across
+    runs."""
+    return _range_reports(_suite_targets(variants), n_from, n_to)

@@ -373,6 +373,9 @@ PART_REQUESTS = [
     "--identity T4_PROD_JJO --from 5 --to 400",
     # Running sums that cross chunk starts.
     "--identity E10 --from 60 --to 200",
+    # Every row in one walk off a chunk boundary: E10 and E11 reach their
+    # sums below --from in the window that every other row reads.
+    "--all --variant both --from 60 --to 200",
 ]
 
 
@@ -435,16 +438,43 @@ def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch, argv
     assert_no_child_left()
 
 
+def test_a_request_of_many_rows_walks_its_terms_once(capsys, monkeypatch):
+    # Every row of a request reads the one window of terms, so the library
+    # and one CPU's part each walk them once, and reach the running sums of
+    # E10 and E11 below --from once per kind.
+    walks, sums = [], []
+    term_lists, running_sum = identities._term_lists, identities._running_sum
+
+    def walked(*args):
+        walks.append(args)
+        return term_lists(*args)
+
+    def summed(kind, n):
+        sums.append(kind)
+        return running_sum(kind, n)
+
+    monkeypatch.setattr(identities, "_term_lists", walked)
+    monkeypatch.setattr(identities, "_running_sum", summed)
+    assert len(identities.run_suite(set(Variant), 200)) == 30
+    assert (walks, sums) == ([(0, 200, True)], list(sequences.THIRD_ORDER_KINDS))
+    walks.clear()
+    sums.clear()
+    code, out, _, forks = verify_on(capsys, monkeypatch, 1, "csv",
+                                    "verify", "--all", "--variant", "both", "--to", "300")
+    assert (code, len(out.splitlines()), forks) == (1, 30, 0)
+    assert (walks, sums) == ([(0, 300, True)], list(sequences.THIRD_ORDER_KINDS))
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch, fmt):
-    evaluations = identities._evaluations
+    tally = identities._tally
 
-    def failing(identity, variants, n_from, n_to, part, parts):
+    def failing(targets, n_from, n_to, part, parts, keep):
         if part:
             raise RuntimeError("chunk lost")
-        return evaluations(identity, variants, n_from, n_to, part, parts)
+        return tally(targets, n_from, n_to, part, parts, keep)
 
-    monkeypatch.setattr(identities, "_evaluations", failing)
+    monkeypatch.setattr(identities, "_tally", failing)
     code, out, err, forks = verify_on(capsys, monkeypatch, 2, fmt,
                                       "verify", "--identity", "E4", "--to", "127")
     assert (code, out, forks) == (3, "", 1)
@@ -455,12 +485,12 @@ def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch, fmt
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, fmt):
-    def stalled(identity, variants, n_from, n_to, part, parts):
+    def stalled(targets, n_from, n_to, part, parts, keep):
         if part:
             time.sleep(60)
         raise RuntimeError("chunk lost")
 
-    monkeypatch.setattr(identities, "_evaluations", stalled)
+    monkeypatch.setattr(identities, "_tally", stalled)
     start = time.monotonic()
     code, out, err, forks = verify_on(capsys, monkeypatch, 3, fmt,
                                       "verify", "--identity", "E4", "--to", "200")

@@ -305,6 +305,34 @@ def test_suite_order_is_stable():
     assert first == second
 
 
+def test_suite_of_no_variant_still_checks_its_range():
+    # No row is run, but the range is checked as for every other request.
+    with pytest.raises(DomainError):
+        run_suite(set(), 10 ** 7)
+    with pytest.raises(ValueError):
+        run_suite(set(), 5, 10)
+    assert run_suite(set(), 10) == []
+
+
+def test_every_side_obeys_the_span_recurrence():
+    # Each side is built from J3, JL3 (2^n and a period-3 part), 2^n and 1,
+    # with at most two factors, so along steps of 3 it is a combination of
+    # 1, 8^k and 64^k.  It then obeys x(n+9) = 73 x(n+6) - 584 x(n+3) +
+    # 512 x(n), whose polynomial is (y - 1)(y - 8)(y - 64) in y = x^3.  A
+    # row outside that span fails here.  Residue rows take only the indices
+    # of their class, which steps of 3 keep.
+    seeded = 3 * random.Random(16).randrange(1000, 3334)
+    for identity, descriptor in REGISTRY.items():
+        starts = [n for n in (*range(2000, 2009), seeded) if descriptor.in_domain(n)]
+        assert len(starts) == (10 if descriptor.residue is None else 4)
+        for variant in descriptor.variants:
+            for n in starts:
+                reports = [verify(identity, variant, n + 3 * k) for k in range(4)]
+                for side in ("lhs", "rhs"):
+                    x = [getattr(report, side) for report in reports]
+                    assert x[3] == x[2] * 73 - x[1] * 584 + x[0] * 512, (identity, variant, n)
+
+
 # --- closed products --------------------------------------------------------
 
 
