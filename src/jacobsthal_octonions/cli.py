@@ -14,22 +14,28 @@ round-trip losslessly through JSON and CSV.
 A ``verify`` runs on up to one process per CPU available to this one, each
 taking alternate chunks of the range (``_verified``): a part walks the
 terms once for every row of the request and tallies their checks and
-failures (``identities._tally``), for json and plain with each failure's
-exact witness, so the costly decimal conversion is shared too.  Every
-format writes the reports in their wire form (``_format_reports``).  The
-output is that of one process.  It stays in one process when
-the range is one chunk, the platform has no ``fork`` or
-``sched_getaffinity``, or this process runs other threads.
+failures (``identities._tally``).  For json and plain a part also renders
+each failure it finds as the text the output holds (``_json_failure``,
+``_plain_failure``), so the costly decimal conversion and formatting are
+shared too; csv only counts.  A child sends its result through a pipe in
+``marshal`` form.  This process puts the failures in order of n, formats
+the report headers and splices the texts in (``_format_reports``), so it
+copies them but never parses or encodes them again.  The output is that
+of one process.  It stays in one process when the range is one chunk, the
+platform has no ``fork`` or ``sched_getaffinity``, or this process runs
+other threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 from itertools import islice
-from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .octonion import MULTIPLICATION_TABLE, _decimal_str
@@ -53,12 +59,13 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write the output, given as the strings it joins, to ``out`` or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -74,7 +81,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         text = "".join(f"{n},{v}\n" for n, v in rows)
     else:
         text = "".join(f"{n}\t{v}\n" for n, v in rows)
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return EXIT_OK
 
 
@@ -103,7 +110,7 @@ def _cmd_oct(args: argparse.Namespace) -> int:
         text = _compact(coefficients) + "\n"
         if agree is not None:
             text += f"closed=recurrence: {str(agree).lower()}\n"
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return EXIT_OK if agree in (None, True) else EXIT_DISCREPANCY
 
 
@@ -130,7 +137,7 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
             cells = [f"e{i}"] + [_table_entry(*entry) for entry in row]
             lines.append("  ".join(f"{cell:>3}" for cell in cells))
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return EXIT_OK
 
 
@@ -167,9 +174,9 @@ def _parts(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[int, IO[str]]:
+def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[int, IO[bytes]]:
     """A child process that runs ``part_results(part)``: its pid, and the
-    pipe on which it sends one json line, its results or its error."""
+    pipe on which it sends one ``marshal`` dict, its results or its error."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -179,7 +186,7 @@ def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[in
         raise
     if pid:
         os.close(write)
-        return pid, open(read, encoding="utf-8")
+        return pid, open(read, "rb")
     # The child leaves through os._exit whatever happens, so it never
     # returns to the caller, runs no atexit handler and flushes no stdio.
     try:
@@ -190,16 +197,19 @@ def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[in
             result = {"domain": str(exc)}
         except Exception as exc:
             result = {"error": f"{type(exc).__name__}: {exc}"}
-        with open(write, "w", encoding="utf-8") as pipe:
-            pipe.write(json.dumps(result) + "\n")
+        with open(write, "wb") as pipe:
+            marshal.dump(result, pipe)
     finally:
         os._exit(0)
 
 
-def _received(pipe: IO[str]) -> list[list]:
+def _received(pipe: IO[bytes]) -> list[list]:
     """The results a child sent; its error, or the lack of a result, raised."""
-    line = pipe.read()
-    result = json.loads(line) if line.endswith("\n") else {"error": "no result"}
+    try:
+        result = marshal.loads(pipe.read())
+    except (EOFError, ValueError):
+        # Nothing, or a truncated blob: the child ended before it had sent.
+        result = {"error": "no result"}
     if "domain" in result:
         raise DomainError(result["domain"])
     if "error" in result:
@@ -208,21 +218,22 @@ def _received(pipe: IO[str]) -> list[list]:
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
-              keep: Optional[Callable[[VerificationReport], dict]]) -> list[dict]:
+              keep: Optional[Callable[[VerificationReport], tuple[int, str]]]) -> list[dict]:
     """The report of each variant of ``targets`` over [n_from, n_to] in
     wire form (``identities._range_json``), its failures as ``_tally``
-    gives them: counted, or in order of n in the wire form ``keep`` makes,
-    which a pipe carries as is.
+    gives them: counted, or, with ``keep``, the text it renders of each, in
+    order of n.
 
-    The range's chunks are dealt out to P = ``_parts`` processes: this one
-    takes chunks 0, P, 2P, ... of the request, and forked child k chunks
-    k, k + P, ..., so each gets a share of every row's cheap and costly
-    indices.  Each walks the terms of the whole range once, which costs
-    little beside evaluating the sides, and so reaches each of its chunks
-    without powering into it.  A child sends its results as one json line.
-    The counts add up, and the failures, joined and put in order of n, are
-    those of one process.  No child outlives the call: on any error here
-    the children are killed, and every child is reaped."""
+    The range's chunks, a multiple of P of nearly equal size (``_tally``),
+    are dealt out to P = ``_parts`` processes: this one takes chunks 0, P,
+    2P, ... of the request, and forked child k chunks k, k + P, ..., so
+    each gets a share of every row's cheap and costly indices.  Each walks
+    the terms of the whole range once, which costs little beside
+    evaluating the sides, and so reaches each of its chunks without
+    powering into it.  A child sends its results, the failures as (n,
+    text) pairs.  The counts add up, and the failures, joined and put in
+    order of n, are those of one process.  No child outlives the call: on
+    any error here the children are killed, and every child is reaped."""
     from .identities import _CHUNK, _range_json, _skipped, _tally
 
     # Every part's walk checks the bound too; checking it here forks nothing
@@ -233,7 +244,7 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     def part_results(part: int) -> list[list]:
         return _tally(targets, n_from, n_to, part, parts, keep)
 
-    children: list[tuple[int, IO[str]]] = []
+    children: list[tuple[int, IO[bytes]]] = []
     try:
         for part in range(1, parts):
             children.append(_fork_part(part_results, part))
@@ -254,40 +265,86 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
             os.waitpid(pid, 0)
     return [_range_json(identity, variant, n_from, n_to, checked,
                         _skipped(identity, n_from, n_to),
-                        sorted(failed, key=lambda failure: failure["n"]) if keep else failed)
+                        # n is unique within a variant, so no text is compared.
+                        [text for _, text in sorted(failed)] if keep else failed)
             for (identity, variants), (checked, *failures) in zip(targets, results)
             for variant, failed in zip(variants, failures)]
 
 
-def _format_reports(reports: list[dict], fmt: str) -> str:
-    """json, csv or plain text of reports in their wire form
-    (``_range_json``); in csv their failures are counts, not lists."""
-    if fmt == "json":
-        return json.dumps(reports, indent=2) + "\n"
+def _indented(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` of a wire value (str, int, and lists
+    and dicts of them) nested where lines are indented by ``indent``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, list):
+        items, brackets = [_indented(v, indent + "  ") for v in obj], "[]"
+    else:
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, indent + '  ')}"
+                 for k, v in obj.items()]
+        brackets = "{}"
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+# Where json.dumps(reports, indent=2) indents a failure: in a report's
+# failure list, three levels deep.
+_FAILURE_INDENT = " " * 6
+
+
+def _json_failure(report: VerificationReport) -> tuple[int, str]:
+    """A failure's n, and its text in the json output (``_format_reports``)."""
+    return report.n, _FAILURE_INDENT + _indented(report.to_json(), _FAILURE_INDENT)
+
+
+def _plain_failure(report: VerificationReport) -> tuple[int, str]:
+    """A failure's n, and its line in the plain output."""
+    f = report.to_json()
+    return report.n, (f"  n={f['n']} lhs={_compact(f['lhs'])} "
+                      f"rhs={_compact(f['rhs'])} delta={_compact(f['delta'])}\n")
+
+
+def _format_reports(reports: list[dict], fmt: str) -> Iterator[str]:
+    """The json, csv or plain text of reports in their wire form
+    (``_range_json``), as the strings it joins.  In csv their failures are
+    counts; in json and plain, their texts (``_json_failure``,
+    ``_plain_failure``), which are written as they are.  The json headers
+    are encoded with their failure lists empty, and the texts spliced in."""
     if fmt == "csv":
-        return "".join(f"{r['id']},{r['variant']},{r['n_from']},{r['n_to']},{r['checked']},"
-                       f"{len(r['skipped'])},{r['failures']}\n" for r in reports)
-    lines = []
-    for r in reports:
-        status = "FAIL" if r["failures"] else "ok"
-        lines.append(
-            f"{r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
-            f"checked={r['checked']} skipped={len(r['skipped'])} "
-            f"failures={len(r['failures'])} {status}"
-        )
-        for failure in r["failures"]:
-            lines.append(
-                f"  n={failure['n']} lhs={_compact(failure['lhs'])} "
-                f"rhs={_compact(failure['rhs'])} delta={_compact(failure['delta'])}"
-            )
-    return "\n".join(lines) + "\n"
+        yield "".join(f"{r['id']},{r['variant']},{r['n_from']},{r['n_to']},{r['checked']},"
+                      f"{len(r['skipped'])},{r['failures']}\n" for r in reports)
+    elif fmt == "json":
+        empty = '"failures": []'
+        heads = json.dumps([{**r, "failures": []} for r in reports], indent=2).split(empty)
+        yield heads[0]
+        for r, head in zip(reports, heads[1:]):
+            if not r["failures"]:
+                yield empty
+            else:
+                yield '"failures": [\n'
+                for i, text in enumerate(r["failures"]):
+                    if i:
+                        yield ",\n"
+                    yield text
+                # The list closes one level out from its failures.
+                yield "\n    ]"
+            yield head
+        yield "\n"
+    else:
+        for r in reports:
+            status = "FAIL" if r["failures"] else "ok"
+            yield (f"{r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
+                   f"checked={r['checked']} skipped={len(r['skipped'])} "
+                   f"failures={len(r['failures'])} {status}\n")
+            yield from r["failures"]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import VerificationReport
-
-    reports = _verified(_verify_targets(args), args.n_from, args.n_to,
-                        None if args.format == "csv" else VerificationReport.to_json)
+    keep = {"csv": None, "json": _json_failure, "plain": _plain_failure}[args.format]
+    reports = _verified(_verify_targets(args), args.n_from, args.n_to, keep)
     _emit(_format_reports(reports, args.format), args.out)
     for r in reports:
         if not r["checked"]:

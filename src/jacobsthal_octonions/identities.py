@@ -5,7 +5,10 @@ table keyed by its name, holding its statement, its domain of validity and
 two independent computation paths over the terms ``_term_lists`` builds:
 
 * the left side is always ground truth: recurrence-generated scalars
-  combined with exact octonion arithmetic, never a closed form;
+  combined with exact octonion arithmetic, never a closed form.  A
+  product of two octonions of terms, such as JO(n)*jO(n), is the nine
+  products of their first three terms each, with small weights that the
+  recurrence and the octonion table give at import (``_product``);
 * the right side is the as-printed closed form (and, for the two
   identities whose printed forms do not survive exact verification, an
   oracle-validated corrected variant as well).
@@ -20,7 +23,8 @@ every row of the request, from n_from - 3 and a chunk of indices at a
 time, so it holds O(n) bits of terms at index n, and it builds a report
 only for a failing index.  ``j3o verify`` tallies in up to one process per
 CPU, each of which walks the whole range but evaluates only alternate
-chunks of it.  There are no tolerances anywhere: passed means the delta is
+chunks of it; the chunks are sized so that each part gets nearly as many
+indices.  There are no tolerances anywhere: passed means the delta is
 exactly zero.
 
 Errata policy: printed forms are never silently repaired.  The corrected
@@ -38,7 +42,7 @@ from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequenc
 
 from . import _IDENTITIES_ALL
 from .errors import DomainError, UnknownVariantError
-from .octonion import Octonion, ScaledOctonion, _decimal_str
+from .octonion import _PRODUCT_TERMS, Octonion, ScaledOctonion, _decimal_str
 from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
@@ -50,6 +54,7 @@ from .sequences import (
     THIRD_ORDER_KINDS,
     SequenceKind,
     _check_index,
+    _walk,
     _x_power,
     correction,
     partial_sum_closed,
@@ -77,10 +82,13 @@ class _Terms(NamedTuple):
     l_sum: Optional[dict] = None
 
 
-# Indices a chunk of a range evaluates: it holds the terms of _CHUNK + 13
-# indices per kind, however long the range.  Each chunk costs a few list
-# operations, so any size from 32 to 256 runs a suite equally fast; a
-# small one keeps a deep range's window of n-bit terms small.
+# The most indices a chunk of a range evaluates: it holds the terms of at
+# most _CHUNK + 13 indices per kind, however long the range.  Each chunk
+# costs a few list operations, so any size from 32 to 256 runs a suite
+# equally fast; a small one keeps a deep range's window of n-bit terms
+# small.  ``_tally`` sizes a request's chunks from its length and part
+# count, so that every part gets as many chunks and nearly as many
+# indices.
 _CHUNK = 64
 
 
@@ -98,9 +106,11 @@ def _running_sum(kind: SequenceKind, n: int) -> int:
     return sum(c * s for c, s in zip(_x_power(kind, n), seeds))
 
 
-def _term_lists(n_from: int, n_to: int, sums: bool) -> Iterator[tuple[range, _Terms]]:
-    """The indices of [n_from, n_to] a chunk at a time, each with the terms
-    and, with ``sums``, the running sums that identity sides read at them.
+def _term_lists(n_from: int, n_to: int, sums: bool,
+                size: int = _CHUNK) -> Iterator[tuple[range, _Terms]]:
+    """The indices of [n_from, n_to] a chunk of ``size`` at a time, each
+    with the terms and, with ``sums``, the running sums that identity sides
+    read at them.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
     last coefficient of JO(n+3) in T3_A and T5_QUAD).  Each kind is walked
@@ -119,8 +129,8 @@ def _term_lists(n_from: int, n_to: int, sums: bool) -> Iterator[tuple[range, _Te
     walks = [seq_terms(kind, low) for kind in THIRD_ORDER_KINDS]
     below = [_running_sum(kind, n_from - 1) for kind in THIRD_ORDER_KINDS] if sums else []
     cleared = filled = low
-    for first in range(n_from, n_to + 1, _CHUNK):
-        end = min(first + _CHUNK, n_to + 1)
+    for first in range(n_from, n_to + 1, size):
+        end = min(first + size, n_to + 1)
         keep = max(first - 3, 0)
         for terms, walk in zip(lists, walks):
             terms[cleared:keep] = [None] * (keep - cleared)
@@ -310,6 +320,33 @@ def _oct(terms: list, n: int) -> Octonion:
     return Octonion(terms[n:n + 8])
 
 
+# x(n+s) = a*x(n) + b*x(n+1) + c*x(n+2), as (a, b, c) for s = 0..7, for
+# any x of the J3 recurrence: the recurrence walked from each unit state.
+_SHIFT_ROWS = tuple(zip(*(islice(_walk(*unit), 8)
+                          for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+
+# Coefficient k of X(n)*Y(n), for octonions X and Y built from two such
+# sequences x and y, is sum(w * x(n+p)*y(n+q)) over the nine (p, q) in
+# p-major order: the octonion table's x(n+i)*y(n+j) terms, each factor
+# put in terms of its sequence's first three.
+_PRODUCT_WEIGHTS = tuple(
+    tuple(sum(sign * _SHIFT_ROWS[i][p] * _SHIFT_ROWS[j][q]
+              for sign, pairs in ((1, plus), (-1, minus)) for i, j in pairs)
+          for p in range(3) for q in range(3))
+    for plus, minus in _PRODUCT_TERMS)
+
+
+def _product(x: list, y: list, n: int) -> Octonion:
+    """``_oct(x, n) * _oct(y, n)`` for two lists of J3 or JL3 terms: nine
+    large products x(n+p)*y(n+q), p, q = 0..2, each coefficient a sum of
+    them with small weights (``_PRODUCT_WEIGHTS``), instead of 64.  Built
+    from the recurrence and the octonion table only, so a left side that
+    uses it stays independent of the closed forms."""
+    products = [a * b for a in x[n:n + 3] for b in y[n:n + 3]]
+    return Octonion([sum([w * m for w, m in zip(weights, products)])
+                     for weights in _PRODUCT_WEIGHTS])
+
+
 def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> Fraction:
     b, c = tail[n % 3]
     return Fraction(lead + b * 2 ** n + c, 49)
@@ -333,7 +370,7 @@ def _sides_t5(t: _Terms, n: int):
     jol = _oct(t.l, n)
     ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
     square = ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
-    return (jol * jol + (_oct(t.j, n + 3) * _oct(t.l, n + 3)) * 3,
+    return (jol * jol + _product(t.j, t.l, n + 3) * 3,
             square + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49),
             square + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
 
@@ -455,12 +492,12 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         lambda t, n: (_oct(t.l, n) - _oct(t.j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
     "T4_PROD_JOJ": IdentityDescriptor(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda t, n: (_oct(t.l, n) * _oct(t.j, n),
+        lambda t, n: (_product(t.l, t.j, n),
                       closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
         residue=0),
     "T4_PROD_JJO": IdentityDescriptor(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda t, n: (_oct(t.j, n) * _oct(t.l, n),
+        lambda t, n: (_product(t.j, t.l, n),
                       closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
         residue=0),
     "T5_QUAD": IdentityDescriptor(
@@ -534,12 +571,23 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     The failures are counted or, with ``keep``, listed as what it makes of
     each one's report, in order of n.  Counting builds no report and
     computes no delta, so a range holds no witness, and a caller holds
-    what it keeps and one chunk of terms."""
+    what it keeps and one chunk of terms.
+
+    The range is cut into a multiple of ``parts`` chunks of at most
+    ``_CHUNK`` indices and of nearly equal size, so that every part gets
+    as many chunks and nearly as many indices.  A request of no target
+    checks its range's bound and walks nothing."""
     rows = [(identity, REGISTRY[identity], variants, _columns(identity, variants))
             for identity, variants in targets]
+    if not rows:
+        _check_index(n_to)
+        return []
+    length = n_to - n_from + 1
+    chunks = parts * -(-length // (_CHUNK * parts))
+    size = -(-length // chunks)
     tallies = [[0, *([] if keep else 0 for _ in variants)] for _, variants in targets]
     sums = any(descriptor.reads_sums for _, descriptor, *_ in rows)
-    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, sums)):
+    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, sums, size)):
         if k % parts != part:
             continue
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):

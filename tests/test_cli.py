@@ -2,20 +2,22 @@ import argparse
 import contextlib
 import io
 import json
+import marshal
 import os
 import pathlib
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from jacobsthal_octonions import cli, identities, sequences
 from jacobsthal_octonions.cli import main
 from jacobsthal_octonions.errors import InconsistencyError
-from jacobsthal_octonions.identities import Variant
-from jacobsthal_octonions.octonion import basis_product
+from jacobsthal_octonions.identities import IdentityId, Variant, VerificationReport
+from jacobsthal_octonions.octonion import Octonion, ScaledOctonion, basis_product
 
 
 def run(capsys, *argv):
@@ -426,13 +428,16 @@ def library_reports(argv):
 
 @pytest.mark.parametrize("argv", PART_REQUESTS)
 def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch, argv):
-    # The parts send their failures in wire form, or their counts; joined,
-    # they are the reports that verify_ranges builds in one process.
+    # The parts send their failures rendered, or their counts; joined and
+    # spliced into the headers, they are byte for byte json.dumps of the
+    # reports that verify_ranges builds in one process.
     argv = ["verify", *argv.split()]
     reports = library_reports(argv)
     failed = int(any(r["failures"] for r in reports))
-    code, out, _, forks = verify_on(capsys, monkeypatch, 3, "json", *argv)
-    assert (code, forks, json.loads(out)) == (failed, 2, reports)
+    for cpus in (1, 2, 3):
+        code, out, _, forks = verify_on(capsys, monkeypatch, cpus, "json", *argv)
+        assert (code, forks) == (failed, cpus - 1)
+        assert out == json.dumps(reports, indent=2) + "\n"
     code, out, _, forks = verify_on(capsys, monkeypatch, 3, "csv", *argv)
     assert (code, forks, csv_counts(out)) == (failed, 2, json_counts(json.dumps(reports)))
     assert_no_child_left()
@@ -441,7 +446,9 @@ def test_json_and_csv_in_parts_are_the_library_reports(capsys, monkeypatch, argv
 def test_a_request_of_many_rows_walks_its_terms_once(capsys, monkeypatch):
     # Every row of a request reads the one window of terms, so the library
     # and one CPU's part each walk them once, and reach the running sums of
-    # E10 and E11 below --from once per kind.
+    # E10 and E11 below --from once per kind.  The walk's chunks are of
+    # nearly equal size: 201 indices make four chunks of 51 or fewer, and
+    # 301 five of 61 or fewer.
     walks, sums = [], []
     term_lists, running_sum = identities._term_lists, identities._running_sum
 
@@ -456,13 +463,13 @@ def test_a_request_of_many_rows_walks_its_terms_once(capsys, monkeypatch):
     monkeypatch.setattr(identities, "_term_lists", walked)
     monkeypatch.setattr(identities, "_running_sum", summed)
     assert len(identities.run_suite(set(Variant), 200)) == 30
-    assert (walks, sums) == ([(0, 200, True)], list(sequences.THIRD_ORDER_KINDS))
+    assert (walks, sums) == ([(0, 200, True, 51)], list(sequences.THIRD_ORDER_KINDS))
     walks.clear()
     sums.clear()
     code, out, _, forks = verify_on(capsys, monkeypatch, 1, "csv",
                                     "verify", "--all", "--variant", "both", "--to", "300")
     assert (code, len(out.splitlines()), forks) == (1, 30, 0)
-    assert (walks, sums) == ([(0, 300, True)], list(sequences.THIRD_ORDER_KINDS))
+    assert (walks, sums) == ([(0, 300, True, 61)], list(sequences.THIRD_ORDER_KINDS))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -480,6 +487,22 @@ def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch, fmt
     assert (code, out, forks) == (3, "", 1)
     assert err == ("j3o: error: ChildProcessError: a counting process failed: "
                    "RuntimeError: chunk lost\n")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent", [
+    lambda blob: b"",
+    lambda blob: blob[:-1],
+    lambda blob: blob[:len(blob) // 2],
+], ids=["empty", "short-by-one", "half"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_child_that_sends_no_whole_result_exits_3(capsys, monkeypatch, fmt, sent):
+    # Only a child dumps: it writes nothing, or a truncated marshal blob.
+    monkeypatch.setattr(marshal, "dump", lambda obj, pipe: pipe.write(sent(marshal.dumps(obj))))
+    code, out, err, forks = verify_on(capsys, monkeypatch, 2, fmt,
+                                      "verify", "--identity", "T6_QUAD", "--to", "127")
+    assert (code, out, forks) == (3, "", 1)
+    assert err == "j3o: error: ChildProcessError: a counting process failed: no result\n"
     assert_no_child_left()
 
 
@@ -545,6 +568,40 @@ def test_one_cpu_one_chunk_or_a_second_thread_runs_in_this_process(capsys, monke
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# --- rendered failures -----------------------------------------------------------
+
+
+BIG = 10 ** 5000 + 7  # past CPython's 4,300-digit str() limit
+
+WIRE_VALUES = [
+    0, 12, -12, BIG, -BIG,
+    Fraction(-98, 1), Fraction(3, 49), Fraction(-BIG, 7),
+    Octonion((1, -2, 3, -4, 5, -6, 7, BIG)),
+    ScaledOctonion(Octonion((7, -14, 21, 0, 0, 0, 0, 7 * BIG)), 7),
+    ScaledOctonion(Octonion((1, -2, 3, -4, 5, -6, 7, -BIG)), 49),
+]
+
+
+@pytest.mark.parametrize("value", WIRE_VALUES, ids=range(len(WIRE_VALUES)))
+def test_a_rendered_failure_is_what_json_dumps_writes(value):
+    report = VerificationReport(IdentityId.T5_QUAD, Variant.AS_PRINTED, 3000, False,
+                                value, -value, value + value)
+    n, text = cli._json_failure(report)
+    # A failure sits three levels deep: list, report, failure list.
+    assert (n, "[\n  {\n    \"failures\": [\n" + text + "\n    ]\n  }\n]") == \
+        (3000, json.dumps([{"failures": [report.to_json()]}], indent=2))
+    wire = report.to_json()
+    assert cli._plain_failure(report) == (3000, "  n=3000 lhs={} rhs={} delta={}\n".format(
+        *(json.dumps(wire[side], separators=(",", ":")) for side in ("lhs", "rhs", "delta"))))
+
+
+def test_nested_and_empty_values_render_as_json_dumps_writes():
+    for obj in ([], {}, "", 7, ["1", [], {}], {"a": [], "b": {"c": ["1", 2]}, "d": {}},
+                [[["x"]], "y\u00e9\"\\"]):
+        assert cli._indented(obj, "") == json.dumps(obj, indent=2)
+        assert cli._indented([[{"k": obj}]], "") == json.dumps([[{"k": obj}]], indent=2)
 
 
 # --- determinism and --out ------------------------------------------------------

@@ -24,6 +24,8 @@ from jacobsthal_octonions.identities import (
     _CHUNK,
     _EPS_ALPHA_ROWS,
     _Terms,
+    _oct,
+    _product,
     _running_sum,
     _term_lists,
 )
@@ -314,6 +316,17 @@ def test_suite_of_no_variant_still_checks_its_range():
     assert run_suite(set(), 10) == []
 
 
+def test_a_tally_of_no_target_walks_nothing(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked the terms of no row")
+
+    monkeypatch.setattr(identities, "_term_lists", no_walk)
+    assert run_suite(set(), 30000) == []
+    assert identities._tally([], 0, 10 ** 6) == []
+    with pytest.raises(DomainError):
+        identities._tally([], 0, 10 ** 6 + 1)
+
+
 def test_every_side_obeys_the_span_recurrence():
     # Each side is built from J3, JL3 (2^n and a period-3 part), 2^n and 1,
     # with at most two factors, so along steps of 3 it is a combination of
@@ -442,6 +455,33 @@ def test_alpha_epsilon_rows_match_products():
     for n in range(6):
         assert _ALPHA_EPS_ROWS[n % 3] == ALPHA * epsilon_hat(n)
         assert _EPS_ALPHA_ROWS[n % 3] == epsilon_hat(n) * ALPHA
+
+
+# --- products of two term windows --------------------------------------------
+
+
+@pytest.mark.parametrize("x_kind", THIRD_ORDER_KINDS)
+@pytest.mark.parametrize("y_kind", THIRD_ORDER_KINDS)
+def test_window_product_equals_the_table_product(x_kind, y_kind):
+    # Nine products of the first three terms and the import-time weights
+    # against the 64-product bilinear table, at small, witness-sized and
+    # deep indices.
+    x, y = (list(islice(seq_terms(kind), 48)) for kind in (x_kind, y_kind))
+    for n in range(41):
+        assert _product(x, y, n) == _oct(x, n) * _oct(y, n), n
+    for n in (3000, random.Random(5).randrange(99000, 10 ** 5)):
+        x, y = (list(islice(seq_terms(kind, n), 8)) for kind in (x_kind, y_kind))
+        assert _product(x, y, 0) == _oct(x, 0) * _oct(y, 0), n
+
+
+def test_window_products_leave_only_squares_to_the_octonion_product(octonion_products):
+    # T4's products and T5's JO(n+3)*jO(n+3) come from _product; T5 keeps
+    # its square jO(n)*jO(n), one octonion product per index.
+    for identity in (IdentityId.T4_PROD_JOJ, IdentityId.T4_PROD_JJO):
+        assert verify_range(identity, PRINTED, 0, 30).passed
+    assert octonion_products[0] == 0
+    verify_ranges(IdentityId.T5_QUAD, (PRINTED, CORRECTED), 30, 35)
+    assert octonion_products[0] == 6
 
 
 # --- E10/E11: running sums ----------------------------------------------------
