@@ -11,7 +11,8 @@ two independent computation paths over the terms ``_term_lists`` builds:
   recurrence and the octonion table give at import (``_product``);
 * the right side is the as-printed closed form (and, for the two
   identities whose printed forms do not survive exact verification, an
-  oracle-validated corrected variant as well).
+  oracle-validated corrected variant as well), as an integer numerator
+  over the row's ``den``, which a check compares with ``lhs * den``.
 
 ``verify`` compares the two paths at one index and reports exact witness
 values; ``verify_ranges`` (``verify_range`` for one variant) and
@@ -36,13 +37,13 @@ suite.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Collection, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from . import _IDENTITIES_ALL
 from .errors import DomainError, UnknownVariantError
-from .octonion import _PRODUCT_TERMS, Octonion, ScaledOctonion, _decimal_str
+from .octonion import _PRODUCT_TERMS, Octonion, ScaledOctonion, _decimal_str, _octonion
 from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
@@ -65,9 +66,12 @@ from .sequences import (
 # it loads this module.
 __all__ = list(_IDENTITIES_ALL)
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # A verified value is an exact integer, an exact rational scalar, or an
 # exact (possibly rational) octonion.
-Value = Union[int, Fraction, Octonion, ScaledOctonion]
+Value = Union[int, "Fraction", Octonion, ScaledOctonion]
 
 
 class _Terms(NamedTuple):
@@ -144,9 +148,9 @@ def _term_lists(n_from: int, n_to: int, sums: bool,
 
 # The sides of one identity at index n from the J3 and JL3 terms and
 # running sums t of the chunk that ``_term_lists`` yields for n:
-# sides(t, n) is the left side, then one right side per variant of the
-# identity, in the order of its ``variants``: (lhs, rhs_printed) or
-# (lhs, rhs_printed, rhs_corrected).
+# sides(t, n) is the left side, then the numerator over the row's ``den``
+# of one right side per variant of the identity, in the order of its
+# ``variants``: (lhs, printed) or (lhs, printed, corrected).
 Sides = Callable[[_Terms, int], tuple[Value, ...]]
 
 
@@ -174,16 +178,17 @@ def value_to_json(value: Value):
     A bool is an int subclass but not a value, and is refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return _decimal_str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _decimal_str(value.numerator)
-        return {"num": _decimal_str(value.numerator), "den": _decimal_str(value.denominator)}
     if isinstance(value, Octonion):
         return value.to_json()
     if isinstance(value, ScaledOctonion):
         if value.is_integral():
             return value.numerator.to_json()
         return value.to_json()
+    from fractions import Fraction
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _decimal_str(value.numerator)
+        return {"num": _decimal_str(value.numerator), "den": _decimal_str(value.denominator)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -277,15 +282,20 @@ _PRODUCT_POLYNOMIALS = {
 }
 
 
+def _product_numerator(order: ProductOrder, n: int) -> Octonion:
+    """49 times the closed form of ``order`` at n = 0 (mod 3)."""
+    x, square = 2 ** n, 4 ** n
+    return _octonion(tuple([a * square + b * x + c
+                            for (a, b, c) in _PRODUCT_POLYNOMIALS[order]]))
+
+
 def closed_product(order: ProductOrder, n: int) -> ScaledOctonion:
     """The closed form of jO(n)*JO(n) or JO(n)*jO(n), defined only for
     n = 0 (mod 3): eight quadratic polynomials in 2^n over 49."""
     if n < 0 or n % 3 != 0:
         raise DomainError(f"closed products are defined for n = 0 (mod 3), got {n}")
     _check_index(n)
-    x = 2 ** n
-    coefficients = tuple(a * x * x + b * x + c for (a, b, c) in _PRODUCT_POLYNOMIALS[order])
-    return ScaledOctonion(Octonion(coefficients), 49)
+    return ScaledOctonion(_product_numerator(order, n), 49)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +309,13 @@ _ALPHA_SQ = ALPHA * ALPHA
 # when n = r (mod 3).
 _ALPHA_EPS_ROWS = tuple(ALPHA * eps for eps in EPSILON_HAT_ROWS)
 _EPS_ALPHA_ROWS = tuple(eps * ALPHA for eps in EPSILON_HAT_ROWS)
+# Their combinations in the numerators of the T5 right sides, printed and
+# corrected, and of both T6 ones, by n mod 3; and alpha^2 as they scale it.
+_T5_PRINTED_ROWS, _T5_CORRECTED_ROWS, _T6_ROWS = zip(*(
+    ((ae * 25 - ea * 31) * 3, (ae - ea) * 21, (ae + ea) * 3)
+    for ae, ea in zip(_ALPHA_EPS_ROWS, _EPS_ALPHA_ROWS)))
+_ALPHA_SQ_49 = _ALPHA_SQ * 49
+_ALPHA_SQ_2 = _ALPHA_SQ * 2
 
 # Period-3 right sides of the shift identities, by n mod 3: EC5 and E8
 # read a pattern, and T1_SHIFT4, T2_SHIFT4 and T3_C the octonions built
@@ -317,7 +334,7 @@ _JOL_NORM_TAIL = {0: (-12288, 369), 1: (-48, 342), 2: (12336, 297)}
 
 def _oct(terms: list, n: int) -> Octonion:
     """JO(n) from the J3 terms, or jO(n) from the JL3 terms."""
-    return Octonion(terms[n:n + 8])
+    return _octonion(tuple(terms[n:n + 8]))
 
 
 # x(n+s) = a*x(n) + b*x(n+1) + c*x(n+2), as (a, b, c) for s = 0..7, for
@@ -343,13 +360,13 @@ def _product(x: list, y: list, n: int) -> Octonion:
     from the recurrence and the octonion table only, so a left side that
     uses it stays independent of the closed forms."""
     products = [a * b for a in x[n:n + 3] for b in y[n:n + 3]]
-    return Octonion([sum([w * m for w, m in zip(weights, products)])
-                     for weights in _PRODUCT_WEIGHTS])
+    return _octonion(tuple([sum([w * m for w, m in zip(weights, products)])
+                            for weights in _PRODUCT_WEIGHTS]))
 
 
-def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> Fraction:
+def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> int:
     b, c = tail[n % 3]
-    return Fraction(lead + b * 2 ** n + c, 49)
+    return lead + b * 2 ** n + c
 
 
 def _sides_oct_rec(t: _Terms, n: int):
@@ -365,31 +382,35 @@ def _sides_oct_rec(t: _Terms, n: int):
 
 
 def _sides_t5(t: _Terms, n: int):
-    # The corrected right side is a commutator form: the printed 25/31
-    # weights replaced by an equal-weight commutator at a higher power of two.
+    # Numerators over 49 of the printed right side, alpha^2*4^(n+3) +
+    # 3*(25*alpha*eps - 31*eps*alpha)*2^(n+1)/49, and of its corrected
+    # form: the 25/31 weights replaced by an equal-weight commutator at a
+    # higher power of two, 3*(alpha*eps - eps*alpha)*2^(n+3)/7.
     jol = _oct(t.l, n)
-    ae, ea = _ALPHA_EPS_ROWS[n % 3], _EPS_ALPHA_ROWS[n % 3]
-    square = ScaledOctonion(_ALPHA_SQ * 4 ** (n + 3))
+    square = _ALPHA_SQ_49 * 4 ** (n + 3)
     return (jol * jol + _product(t.j, t.l, n + 3) * 3,
-            square + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49),
-            square + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
+            square + _T5_PRINTED_ROWS[n % 3] * 2 ** (n + 1),
+            square + _T5_CORRECTED_ROWS[n % 3] * 2 ** (n + 3))
 
 
 def _sides_t6(t: _Terms, n: int):
-    # The corrected right side replaces the printed constant coefficient 2
-    # on the squared-alpha term by the index-dependent 2^(n+1).
+    # Numerators over 7 of (2*alpha^2 + 3*(alpha*eps + eps*alpha))*2^(n+1)/7
+    # as printed, and of its corrected form, which replaces the constant
+    # coefficient 2 on the squared-alpha term by the index-dependent 2^(n+1).
     jol, jo = _oct(t.l, n), _oct(t.j, n)
-    anti = (_ALPHA_EPS_ROWS[n % 3] + _EPS_ALPHA_ROWS[n % 3]) * 3
+    power = 2 ** (n + 1)
+    anti = _T6_ROWS[n % 3] * power
     return (jol * jol - (jo * jo) * 9,
-            ScaledOctonion((_ALPHA_SQ * 2 + anti) * 2 ** (n + 1), 7),
-            ScaledOctonion((_ALPHA_SQ * 2 ** (n + 1) + anti) * 2 ** (n + 1), 7))
+            _ALPHA_SQ_2 * power + anti,
+            _ALPHA_SQ * (power * power) + anti)
 
 
 class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
     ``sides``), its domain, n >= n_min and, when ``residue`` is set,
-    n = residue (mod 3), and whether its sides read the running sums."""
+    n = residue (mod 3), whether its sides read the running sums, and the
+    denominator ``den`` that its right sides' numerators are over."""
 
     statement: str
     sides: Sides
@@ -397,6 +418,7 @@ class IdentityDescriptor(NamedTuple):
     n_min: int = 0
     residue: Optional[int] = None
     reads_sums: bool = False
+    den: int = 1
 
     def in_domain(self, n: int) -> bool:
         if n < self.n_min:
@@ -467,7 +489,8 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         lambda t, n: (_oct(t.j, n + 2) - _oct(t.j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
     "T1_NORM": IdentityDescriptor(
         "Nr2(JO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda t, n: (_oct(t.j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n))),
+        lambda t, n: (_oct(t.j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n)),
+        den=49),
     "T2_SUM": IdentityDescriptor(
         "jO(n+2) + jO(n+1) + jO(n) = 2^(n+3)*alpha",
         lambda t, n: (_oct(t.l, n + 2) + _oct(t.l, n + 1) + _oct(t.l, n), ALPHA * 2 ** (n + 3))),
@@ -477,7 +500,8 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
     "T2_NORM": IdentityDescriptor(
         "Nr2(jO(n)) equals a residue-split quadratic in 2^n over 49",
         lambda t, n: (_oct(t.l, n).norm_sq(),
-                      _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n))),
+                      _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n)),
+        den=49),
     "T3_A": IdentityDescriptor(
         "jO(n+3) - 3*JO(n+3) = 2*jO(n)",
         lambda t, n: (_oct(t.l, n + 3) - _oct(t.j, n + 3) * 3, _oct(t.l, n) * 2)),
@@ -493,19 +517,19 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
     "T4_PROD_JOJ": IdentityDescriptor(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
         lambda t, n: (_product(t.l, t.j, n),
-                      closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
-        residue=0),
+                      _product_numerator(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
+        residue=0, den=49),
     "T4_PROD_JJO": IdentityDescriptor(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
         lambda t, n: (_product(t.j, t.l, n),
-                      closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
-        residue=0),
+                      _product_numerator(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
+        residue=0, den=49),
     "T5_QUAD": IdentityDescriptor(
         "jO(n)^2 + 3*JO(n+3)*jO(n+3) against the printed right side",
-        _sides_t5, variants=tuple(Variant)),
+        _sides_t5, variants=tuple(Variant), den=49),
     "T6_QUAD": IdentityDescriptor(
         "jO(n)^2 - 9*JO(n)^2 against the printed right side",
-        _sides_t6, variants=tuple(Variant)),
+        _sides_t6, variants=tuple(Variant), den=7),
 }
 
 IdentityId = Enum("IdentityId", [(name, name) for name in _IDENTITIES], module=__name__)
@@ -527,6 +551,17 @@ def _columns(identity: IdentityId, variants: Sequence[Variant]) -> list[int]:
         if variant not in own:
             raise UnknownVariantError(f"{identity.name} has no corrected variant")
     return [own.index(variant) + 1 for variant in variants]
+
+
+def _rhs(numerator: Union[int, Octonion], den: int) -> Value:
+    """The right side whose numerator over ``den`` is ``numerator``; a
+    range builds one, and loads ``fractions``, only for a failing index."""
+    if den == 1:
+        return numerator
+    if isinstance(numerator, Octonion):
+        return ScaledOctonion(numerator, den)
+    from fractions import Fraction
+    return Fraction(numerator, den)
 
 
 def _check(identity: IdentityId, variant: Variant, n: int,
@@ -554,7 +589,7 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
     ((_, terms),) = _term_lists(n, n, descriptor.reads_sums)
     sides = descriptor.sides(terms, n)
-    return _check(identity, variant, n, sides[0], sides[column])
+    return _check(identity, variant, n, sides[0], _rhs(sides[column], descriptor.den))
 
 
 def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
@@ -565,7 +600,9 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
 
     The terms are walked once for every target, with the running sums when
     any target reads them, and each target's sides are evaluated once per
-    index of its domain, so its variants share the left side.  Only the
+    index of its domain, so its variants share the left side, which is
+    scaled once by the row's ``den`` and compared with each variant's
+    numerator: a passing index builds no rational value.  Only the
     chunks ``part``, ``part + parts``, ... of the range are evaluated; the
     walk passes the others by, so ``parts`` processes can share a range.
     The failures are counted or, with ``keep``, listed as what it makes of
@@ -591,15 +628,18 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
         if k % parts != part:
             continue
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):
+            den = descriptor.den
             for n in indices:
                 if not descriptor.in_domain(n):
                     continue
                 tally[0] += 1
                 sides = descriptor.sides(terms, n)
+                scaled = sides[0] * den if den > 1 else sides[0]
                 for i, column in enumerate(columns):
-                    if sides[0] != sides[column]:
+                    if scaled != sides[column]:
                         tally[1 + i] += ([keep(_check(identity, variants[i], n, sides[0],
-                                                      sides[column]))] if keep else 1)
+                                                      _rhs(sides[column], den)))]
+                                         if keep else 1)
     return tallies
 
 

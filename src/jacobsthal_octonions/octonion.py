@@ -17,13 +17,15 @@ nothing ever rounds or overflows; rational-valued octonions (needed by
 identities that carry 1/7 or 1/49 factors) are handled by ScaledOctonion,
 an integer octonion paired with a positive denominator kept in lowest
 terms.  All values are immutable and all operations are pure, so everything
-here is safe for unrestricted concurrent use.
+here is safe for unrestricted concurrent use.  Results of arithmetic, ints
+combined with ints, skip the checks of ``Octonion(...)`` (``_octonion``).
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -178,31 +180,31 @@ class Octonion:
     def __add__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(a + b for a, b in zip(self._c, other._c))
+        return _octonion(tuple(map(add, self._c, other._c)))
 
     def __sub__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(a - b for a, b in zip(self._c, other._c))
+        return _octonion(tuple(map(sub, self._c, other._c)))
 
     def __neg__(self) -> "Octonion":
-        return Octonion(-a for a in self._c)
+        return _octonion(tuple([-a for a in self._c]))
 
     def __mul__(self, other: Union["Octonion", int]):
+        # Exactly int, as for a coefficient: a bool is refused.
+        if type(other) is int:
+            return _octonion(tuple([a * other for a in self._c]))
         if other is self:
             # x*x = (a0^2 - |v|^2) + 2*a0*v: the imaginary units square to
             # -1 and anticommute, so the cross terms of v*v cancel.
             a0, *v = self._c
             twice = 2 * a0
-            return Octonion([a0 * a0 - sum([a * a for a in v])] + [twice * a for a in v])
+            return _octonion((a0 * a0 - sum([a * a for a in v]), *[twice * a for a in v]))
         if isinstance(other, Octonion):
             a, b = self._c, other._c
-            return Octonion([sum([a[i] * b[j] for i, j in plus])
-                             - sum([a[i] * b[j] for i, j in minus])
-                             for plus, minus in _PRODUCT_TERMS])
-        # Exactly int, as for a coefficient: a bool is refused.
-        if type(other) is int:
-            return Octonion([a * other for a in self._c])
+            return _octonion(tuple([sum([a[i] * b[j] for i, j in plus])
+                                    - sum([a[i] * b[j] for i, j in minus])
+                                    for plus, minus in _PRODUCT_TERMS]))
         return NotImplemented
 
     # Only an int reaches the reflected product, and scaling commutes.
@@ -210,7 +212,7 @@ class Octonion:
 
     def conjugate(self) -> "Octonion":
         """Real part kept, imaginary coefficients negated."""
-        return Octonion((self._c[0],) + tuple(-a for a in self._c[1:]))
+        return _octonion((self._c[0], *[-a for a in self._c[1:]]))
 
     def norm_sq(self) -> int:
         """The Euclidean norm form: the sum of squared coefficients.
@@ -226,6 +228,13 @@ class Octonion:
     def to_json(self) -> list[str]:
         """Wire form: a list of 8 decimal strings, index s = basis e_s."""
         return [_decimal_str(a) for a in self._c]
+
+
+def _octonion(c: tuple[int, ...]) -> Octonion:
+    """``Octonion(c)`` for a tuple ``c`` of eight ints, without its checks."""
+    x = object.__new__(Octonion)
+    x._c = c
+    return x
 
 
 class ScaledOctonion:
@@ -247,7 +256,7 @@ class ScaledOctonion:
         for a in numerator.coefficients:
             g = gcd(g, a)
         if g > 1:
-            numerator = Octonion(a // g for a in numerator.coefficients)
+            numerator = _octonion(tuple([a // g for a in numerator.coefficients]))
             denominator //= g
         self._num = numerator
         self._den = denominator

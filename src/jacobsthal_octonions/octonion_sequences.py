@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import islice
 
 from .errors import InconsistencyError
-from .octonion import Octonion
+from .octonion import Octonion, _octonion
 from .sequences import CORRECTION_TABLE, SequenceKind, _check_index, seq_terms
 
 __all__ = [
@@ -75,7 +75,7 @@ def _exact_div7(p: Octonion) -> Octonion:
         if r:
             raise InconsistencyError(f"closed-form coefficient {x} is not divisible by 7")
         out.append(q)
-    return Octonion(out)
+    return _octonion(tuple(out))
 
 
 def oct_seq_closed(kind: OctonionSequenceKind, n: int) -> Octonion:

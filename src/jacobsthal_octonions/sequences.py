@@ -197,13 +197,16 @@ def partial_sum(kind: SequenceKind, n: int) -> int:
 
 def partial_sum_closed(kind: SequenceKind, n: int) -> int:
     """The closed form of ``partial_sum``: a shifted term with a residue-
-    dependent constant."""
+    dependent constant.  The shifted term comes from term n, so n reaches
+    the index bound: J3(n+1) = 2*J3(n) + (1, -1, 0)[n mod 3] and JL3(n+1) =
+    2*JL3(n) + (-3, 3, 0)[n mod 3], by the forms ``seq_closed`` evaluates."""
     if kind not in THIRD_ORDER_KINDS:
         raise ValueError(f"partial sums are defined for the third-order kinds, not {kind}")
     _check_index(n)
-    nxt = seq_value(kind, n + 1)
     if kind is SequenceKind.THIRD_ORDER_JACOBSTHAL:
+        nxt = 2 * seq_value(kind, n) + (1, -1, 0)[n % 3]
         return nxt - 1 if n % 3 == 0 else nxt
+    nxt = 2 * seq_value(kind, n) + (-3, 3, 0)[n % 3]
     return nxt + 1 if n % 3 == 0 else nxt - 2
 
 

@@ -267,6 +267,14 @@ def test_verify_range_past_the_bound_exits_2_before_any_walk(capsys, monkeypatch
     assert err == "j3o: error: sequence index must be <= 1000000, got 1000006\n"
 
 
+@pytest.mark.parametrize("identity", ["E10", "E11"])
+def test_partial_sum_rows_reach_the_index_bound(capsys, identity):
+    # Their right side reads term n, not n + 1, so the last index is in reach.
+    code, out, err = run(capsys, "verify", "--identity", identity, "--from", "1000000",
+                         "--to", "1000000", "--format", "csv")
+    assert (code, out, err) == (0, f"{identity},printed,1000000,1000000,1,0,0\n", "")
+
+
 # --- csv: counts only ------------------------------------------------------------
 
 
@@ -524,9 +532,11 @@ def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, f
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch, fmt):
-    # E10's right side reads J3(n + 1): past the bound at the range's end,
-    # which only the child evaluates.
+    # A right side that reads J3(n + 1), as E10's once did, is past the
+    # bound at the range's end, which only the child evaluates.
     monkeypatch.setattr(sequences, "_MAX_INDEX", 200)
+    monkeypatch.setattr(identities, "partial_sum_closed",
+                        lambda kind, n: sequences.seq_value(kind, n + 1))
     argv = ["verify", "--identity", "E10", "--from", "100", "--to", "200"]
     refused = (2, "", "j3o: error: sequence index must be <= 200, got 201\n")
     assert verify_on(capsys, monkeypatch, 1, fmt, *argv) == (*refused, 0)

@@ -150,6 +150,62 @@ def test_failure_delta_is_lhs_minus_rhs():
     assert not report.delta.is_zero()
 
 
+# --- right sides as numerators over each row's denominator --------------------
+
+DENOMINATORS = {IdentityId.T1_NORM: 49, IdentityId.T2_NORM: 49, IdentityId.T4_PROD_JOJ: 49,
+                IdentityId.T4_PROD_JJO: 49, IdentityId.T5_QUAD: 49, IdentityId.T6_QUAD: 7}
+
+
+def rational_right_sides(identity, n):
+    """The right sides of a row over a denominator, one per variant, as the
+    ``Fraction`` and ``ScaledOctonion`` arithmetic of the printed forms
+    gives them."""
+    ae, ea, square = ALPHA * epsilon_hat(n), epsilon_hat(n) * ALPHA, ALPHA * ALPHA
+    if identity in (IdentityId.T1_NORM, IdentityId.T2_NORM):
+        jo = identity is IdentityId.T1_NORM
+        b, c = (identities._JO_NORM_TAIL if jo else identities._JOL_NORM_TAIL)[n % 3]
+        lead = 87380 * 4 ** n if jo else 21845 * 2 ** (2 * n + 6)
+        return (Fraction(lead + b * 2 ** n + c, 49),)
+    if identity is IdentityId.T4_PROD_JOJ:
+        return (closed_product(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n),)
+    if identity is IdentityId.T4_PROD_JJO:
+        return (closed_product(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n),)
+    if identity is IdentityId.T5_QUAD:
+        scaled = ScaledOctonion(square * 4 ** (n + 3))
+        return (scaled + ScaledOctonion((ae * 25 - ea * 31) * (3 * 2 ** (n + 1)), 49),
+                scaled + ScaledOctonion((ae - ea) * (3 * 2 ** (n + 3)), 7))
+    anti = (ae + ea) * 3
+    return (ScaledOctonion((square * 2 + anti) * 2 ** (n + 1), 7),
+            ScaledOctonion((square * 2 ** (n + 1) + anti) * 2 ** (n + 1), 7))
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.name)
+def test_numerators_over_den_check_and_witness_as_the_rationals_do(identity):
+    # lhs * den == numerator holds exactly when lhs equals the rational
+    # right side, and a report's rhs and delta, built from the numerator,
+    # are that side and lhs minus it, in value, type and wire form (whose
+    # decimal strings are left out near 10^5, where they cost seconds).
+    descriptor = REGISTRY[identity]
+    den = DENOMINATORS.get(identity, 1)
+    assert descriptor.den == den
+    for n in (*range(41), 3000, random.Random(20).randrange(99000, 10 ** 5)):
+        if not descriptor.in_domain(n):
+            continue
+        ((_, t),) = _term_lists(n, n, descriptor.reads_sums)
+        lhs, *numerators = descriptor.sides(t, n)
+        rationals = rational_right_sides(identity, n) if den > 1 else numerators
+        for variant, numerator, rhs in zip(descriptor.variants, numerators, rationals):
+            assert (lhs * den == numerator) is (lhs == rhs), (variant, n)
+            report = verify(identity, variant, n)
+            assert report.passed is (lhs == rhs)
+            assert (report.lhs, report.rhs, report.delta) == (lhs, rhs, lhs - rhs)
+            assert [type(report.rhs), type(report.delta)] == [type(rhs), type(lhs - rhs)]
+            if n <= 3000:
+                assert report.to_json() == {"n": n, "lhs": value_to_json(lhs),
+                                            "rhs": value_to_json(rhs),
+                                            "delta": value_to_json(lhs - rhs)}
+
+
 # --- verify_range ---------------------------------------------------------
 
 
@@ -524,7 +580,9 @@ def test_partial_sum_rows_far_from_zero(identity, kind):
 def reference_ranges(identity, variants, n_from, n_to):
     """``verify_ranges`` as it was first built: every term and running sum
     from index 0 to n_to + 10 in full lists, and a report with its delta at
-    every index, kept when the delta is not zero."""
+    every index, kept when the delta is not zero.  A right side is its
+    numerator over the row's ``den``, as a ``Fraction`` or
+    ``ScaledOctonion`` unless ``den`` is 1."""
     terms = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
     t = _Terms(*terms, *(dict(enumerate(accumulate(x))) for x in terms))
     descriptor = REGISTRY[identity]
@@ -537,6 +595,9 @@ def reference_ranges(identity, variants, n_from, n_to):
         sides = descriptor.sides(t, n)
         for variant, failed in zip(variants, failures):
             lhs, rhs = sides[0], sides[descriptor.variants.index(variant) + 1]
+            if descriptor.den > 1:
+                scaled = ScaledOctonion if isinstance(rhs, Octonion) else Fraction
+                rhs = scaled(rhs, descriptor.den)
             if lhs != rhs:
                 failed.append(VerificationReport(identity, variant, n, False, lhs, rhs, lhs - rhs))
     return [RangeReport(identity, variant, n_from, n_to, checked, tuple(skipped), tuple(failed))
@@ -623,4 +684,4 @@ def test_running_sums_by_powering_equal_the_literal_sum(kind):
     for n in random.Random(11).sample(range(400, 10 ** 4), 12) + [10 ** 4]:
         assert _running_sum(kind, n) == partial_sum(kind, n), n
     # The largest n that E10 and E11 accept, against the closed form.
-    assert _running_sum(kind, 10 ** 6 - 1) == partial_sum_closed(kind, 10 ** 6 - 1)
+    assert _running_sum(kind, 10 ** 6) == partial_sum_closed(kind, 10 ** 6)

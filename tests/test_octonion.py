@@ -160,6 +160,25 @@ def test_construction_rejects_bool_coefficients():
         Octonion((0, 0, 0, 0, 0, 0, 0, False))
 
 
+def test_arithmetic_results_equal_checked_octonions():
+    # Results of arithmetic skip the constructor's checks; each is still an
+    # Octonion of eight ints, equal and hash-equal to the checked one.
+    rng = random.Random(20)
+    p, q = random_octonion(rng), random_octonion(rng)
+    results = (p + q, p - q, -p, p * q, p * p, p * 3, 3 * p, p.conjugate(),
+               ScaledOctonion(p * 6, 4).numerator, oct_seq(OctonionSequenceKind.JACOBSTHAL, 9))
+    for result in results:
+        checked = Octonion(list(result))
+        assert type(result) is Octonion and type(result.coefficients) is tuple
+        assert len(result.coefficients) == 8 and all(type(a) is int for a in result)
+        assert result == checked and hash(result) == hash(checked)
+    # The constructor itself still checks.
+    with pytest.raises(ValueError):
+        Octonion(range(9))
+    with pytest.raises(TypeError):
+        Octonion(list(p)[:7] + [True])
+
+
 def test_add_sub_componentwise():
     assert E[0] + E[1] == Octonion((1, 1, 0, 0, 0, 0, 0, 0))
     rng = random.Random(7)

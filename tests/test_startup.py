@@ -1,10 +1,11 @@
 """What each entry point imports, each case in a fresh interpreter.
 
 A ``j3o`` request is one process, so start-up is part of its cost: the
-package leaves ``dataclasses`` (and ``inspect`` behind it) unimported, and
-only the requests that verify load ``identities`` and ``fractions``.  Only
-modules that the package controls are asserted: which standard modules the
-interpreter itself preloads differs between Python versions.
+package leaves ``dataclasses`` (and ``inspect`` behind it) unimported, only
+the requests that verify load ``identities``, and only a rational witness
+loads ``fractions``.  Only modules that the package controls are asserted:
+which standard modules the interpreter itself preloads differs between
+Python versions.
 """
 
 import os
@@ -50,10 +51,13 @@ def test_requests_that_only_generate_leave_the_identity_table_unloaded(argv):
 
 
 def test_verify_loads_the_identity_table():
+    # Right sides are integer numerators over each row's denominator, and a
+    # passing index builds no rational value, so neither fractions nor
+    # decimal loads.
     code = ("from jacobsthal_octonions import cli\n"
             "assert cli.main(['verify', '--identity', 'E4', '--to', '5']) == 0")
-    assert loaded_after(code, IDENTITIES, "dataclasses") == {
-        IDENTITIES: True, "dataclasses": False}
+    assert loaded_after(code, IDENTITIES, "dataclasses", "fractions", "decimal") == {
+        IDENTITIES: True, "dataclasses": False, "fractions": False, "decimal": False}
 
 
 @pytest.mark.parametrize("statement", [
