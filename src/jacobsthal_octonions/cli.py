@@ -6,10 +6,11 @@ sequence, optionally cross-checked against its closed form), ``mul-table``
 reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
 2 usage error (an index outside its domain included), 3 any other error
 (one ``j3o: error:`` line on stderr, no traceback), so a crash never reads
-as a failed identity.  Data goes to
-stdout (or ``--out``), diagnostics to stderr.  All numbers are emitted as
-decimal strings: coefficients outgrow 64-bit integers quickly, and strings
-round-trip losslessly through JSON and CSV.
+as a failed identity; 130 on Ctrl-C and 143 on SIGTERM to a request in
+parts, with one stderr line, and 141, silently, once stdout's reader has
+gone.  Data goes to stdout (or ``--out``), diagnostics to stderr.  All
+numbers are emitted as decimal strings: coefficients outgrow 64-bit
+integers quickly, and strings round-trip losslessly through JSON and CSV.
 
 A ``verify`` runs on up to one process per CPU available to this one, each
 taking alternate chunks of the range (``_verified``): a part walks the
@@ -34,7 +35,6 @@ import marshal
 import os
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
@@ -49,10 +49,15 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
 EXIT_ERROR = 3
+EXIT_INTERRUPTED, EXIT_BROKEN_PIPE, EXIT_TERMINATED = 130, 141, 143  # 128 + the signal
 
 
 class UsageError(Exception):
     """Bad arguments detected after parsing; maps to exit code 2."""
+
+
+class _Terminated(BaseException):
+    """A SIGTERM to this process while it has children (``_verified``)."""
 
 
 def _compact(obj) -> str:
@@ -66,6 +71,7 @@ def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
             handle.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -121,22 +127,18 @@ def _table_entry(sign: int, index: int) -> str:
 
 
 def _cmd_mul_table(args: argparse.Namespace) -> int:
+    rows = [[f"e{i}"] + [_table_entry(*entry) for entry in row]
+            for i, row in enumerate(MULTIPLICATION_TABLE)]
     if args.format == "json":
         table = [[{"sign": entry.sign, "e": entry.index} for entry in row]
                  for row in MULTIPLICATION_TABLE]
         text = json.dumps(table, indent=2) + "\n"
     elif args.format == "csv":
-        lines = []
-        for i, row in enumerate(MULTIPLICATION_TABLE):
-            lines.append(",".join([f"e{i}"] + [_table_entry(*entry) for entry in row]))
-        text = "\n".join(lines) + "\n"
+        text = "".join(",".join(cells) + "\n" for cells in rows)
     else:
         header = ["x"] + [f"e{j}" for j in range(8)]
-        lines = ["  ".join(f"{cell:>3}" for cell in header)]
-        for i, row in enumerate(MULTIPLICATION_TABLE):
-            cells = [f"e{i}"] + [_table_entry(*entry) for entry in row]
-            lines.append("  ".join(f"{cell:>3}" for cell in cells))
-        text = "\n".join(lines) + "\n"
+        text = "".join("  ".join(f"{cell:>3}" for cell in cells) + "\n"
+                       for cells in [header, *rows])
     _emit((text,), args.out)
     return EXIT_OK
 
@@ -177,6 +179,8 @@ def _parts(chunks: int) -> int:
 def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[int, IO[bytes]]:
     """A child process that runs ``part_results(part)``: its pid, and the
     pipe on which it sends one ``marshal`` dict, its results or its error."""
+    import signal
+
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -189,7 +193,9 @@ def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[in
         return pid, open(read, "rb")
     # The child leaves through os._exit whatever happens, so it never
     # returns to the caller, runs no atexit handler and flushes no stdio.
+    # Ctrl-C, which reaches the whole process group, is the parent's to act on.
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(read)
         try:
             result = {"results": part_results(part)}
@@ -217,6 +223,10 @@ def _received(pipe: IO[bytes]) -> list[list]:
     return result["results"]
 
 
+def _terminated(signum: int, frame) -> None:
+    raise _Terminated
+
+
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
               keep: Optional[Callable[[VerificationReport], tuple[int, str]]]) -> list[dict]:
     """The report of each variant of ``targets`` over [n_from, n_to] in
@@ -233,7 +243,9 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     powering into it.  A child sends its results, the failures as (n,
     text) pairs.  The counts add up, and the failures, joined and put in
     order of n, are those of one process.  No child outlives the call: on
-    any error here the children are killed, and every child is reaped."""
+    any error here, Ctrl-C and SIGTERM included, the children are killed,
+    and every child is reaped.  (A child does not watch for its parent's
+    end: one whose parent is killed by SIGKILL runs on to its part's end.)"""
     from .identities import _CHUNK, _range_json, _skipped, _tally
 
     # Every part's walk checks the bound too; checking it here forks nothing
@@ -245,6 +257,10 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
         return _tally(targets, n_from, n_to, part, parts, keep)
 
     children: list[tuple[int, IO[bytes]]] = []
+    if parts > 1:
+        import signal
+
+        previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         for part in range(1, parts):
             children.append(_fork_part(part_results, part))
@@ -254,8 +270,6 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
             results = [[a + b for a, b in zip(mine, theirs)]
                        for mine, theirs in zip(results, _received(pipe))]
     except BaseException:
-        import signal
-
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -263,31 +277,14 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
+        if parts > 1:
+            signal.signal(signal.SIGTERM, previous)
     return [_range_json(identity, variant, n_from, n_to, checked,
                         _skipped(identity, n_from, n_to),
                         # n is unique within a variant, so no text is compared.
                         [text for _, text in sorted(failed)] if keep else failed)
             for (identity, variants), (checked, *failures) in zip(targets, results)
             for variant, failed in zip(variants, failures)]
-
-
-def _indented(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` of a wire value (str, int, and lists
-    and dicts of them) nested where lines are indented by ``indent``."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, list):
-        items, brackets = [_indented(v, indent + "  ") for v in obj], "[]"
-    else:
-        items = [f"{encode_basestring_ascii(k)}: {_indented(v, indent + '  ')}"
-                 for k, v in obj.items()]
-        brackets = "{}"
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 # Where json.dumps(reports, indent=2) indents a failure: in a report's
@@ -297,7 +294,8 @@ _FAILURE_INDENT = " " * 6
 
 def _json_failure(report: VerificationReport) -> tuple[int, str]:
     """A failure's n, and its text in the json output (``_format_reports``)."""
-    return report.n, _FAILURE_INDENT + _indented(report.to_json(), _FAILURE_INDENT)
+    text = json.dumps(report.to_json(), indent=2)
+    return report.n, _FAILURE_INDENT + text.replace("\n", "\n" + _FAILURE_INDENT)
 
 
 def _plain_failure(report: VerificationReport) -> tuple[int, str]:
@@ -420,9 +418,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"j3o: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # What is left to flush goes nowhere (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         print(f"j3o: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (KeyboardInterrupt, _Terminated) as exc:
+        terminated = isinstance(exc, _Terminated)
+        print(f"j3o: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -48,8 +48,8 @@ from .octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
+    _closed_numerator,
     _period3_rows,
-    oct_seq_closed,
 )
 from .sequences import (
     THIRD_ORDER_KINDS,
@@ -477,10 +477,10 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         _sides_oct_rec, n_min=1),
     "BINET_JO": IdentityDescriptor(
         "JO(n) equals its closed form (2^(n+1)*alpha - eps(n))/7",
-        lambda t, n: (_oct(t.j, n), oct_seq_closed(_JO, n))),
+        lambda t, n: (_oct(t.j, n), _closed_numerator(_JO, n)), den=7),
     "BINET_JOL": IdentityDescriptor(
         "jO(n) equals its closed form (2^(n+3)*alpha + 3*eps(n))/7",
-        lambda t, n: (_oct(t.l, n), oct_seq_closed(_JOL, n))),
+        lambda t, n: (_oct(t.l, n), _closed_numerator(_JOL, n)), den=7),
     "T1_SUM": IdentityDescriptor(
         "JO(n+2) + JO(n+1) + JO(n) = 2^(n+1)*alpha",
         lambda t, n: (_oct(t.j, n + 2) + _oct(t.j, n + 1) + _oct(t.j, n), ALPHA * 2 ** (n + 1))),

@@ -9,9 +9,10 @@ constants drive all of their closed forms:
   scalar correction V(n+s).
 
 The radical-free closed forms are then 7*JO(n) = 2^(n+1)*alpha - eps(n) and
-7*jO(n) = 2^(n+3)*alpha + 3*eps(n); ``oct_seq_closed`` evaluates them with
-an exact division by 7, raising if a remainder appears.  The linkage
-jO(n) - 4*JO(n) = eps(n) holds for every n.
+7*jO(n) = 2^(n+3)*alpha + 3*eps(n).  The BINET rows check their right sides,
+``_closed_numerator``, over 7; ``oct_seq_closed`` divides them by 7, raising
+on a remainder (``sequences._exact_div7``).  The linkage jO(n) - 4*JO(n) =
+eps(n) holds for every n.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice
 
-from .errors import InconsistencyError
 from .octonion import Octonion, _octonion
-from .sequences import CORRECTION_TABLE, SequenceKind, _check_index, seq_terms
+from .sequences import CORRECTION_TABLE, SequenceKind, _check_index, _exact_div7, seq_terms
 
 __all__ = [
     "OctonionSequenceKind",
@@ -68,19 +68,14 @@ def oct_seq(kind: OctonionSequenceKind, n: int) -> Octonion:
     return Octonion(islice(seq_terms(_SCALAR_FOR[kind], n), 8))
 
 
-def _exact_div7(p: Octonion) -> Octonion:
-    out = []
-    for x in p.coefficients:
-        q, r = divmod(x, 7)
-        if r:
-            raise InconsistencyError(f"closed-form coefficient {x} is not divisible by 7")
-        out.append(q)
-    return _octonion(tuple(out))
+def _closed_numerator(kind: OctonionSequenceKind, n: int) -> Octonion:
+    """7 times the n-th octonion of ``kind``, by its closed form."""
+    if kind is OctonionSequenceKind.JACOBSTHAL:
+        return ALPHA * 2 ** (n + 1) - epsilon_hat(n)
+    return ALPHA * 2 ** (n + 3) + epsilon_hat(n) * 3
 
 
 def oct_seq_closed(kind: OctonionSequenceKind, n: int) -> Octonion:
     """The n-th octonion of ``kind`` by exact radical-free closed form."""
     _check_index(n)
-    if kind is OctonionSequenceKind.JACOBSTHAL:
-        return _exact_div7(ALPHA * 2 ** (n + 1) - epsilon_hat(n))
-    return _exact_div7(ALPHA * 2 ** (n + 3) + epsilon_hat(n) * 3)
+    return _octonion(tuple(map(_exact_div7, _closed_numerator(kind, n).coefficients)))

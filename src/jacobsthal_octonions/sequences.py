@@ -178,12 +178,15 @@ def seq_closed(kind: SequenceKind, n: int) -> int:
         raise ValueError(f"closed form is defined for the third-order kinds, not {kind}")
     _check_index(n)
     if kind is SequenceKind.THIRD_ORDER_JACOBSTHAL:
-        numerator = 2 ** (n + 1) - correction(n)
-    else:
-        numerator = 2 ** (n + 3) + 3 * correction(n)
-    q, r = divmod(numerator, 7)
+        return _exact_div7(2 ** (n + 1) - correction(n))
+    return _exact_div7(2 ** (n + 3) + 3 * correction(n))
+
+
+def _exact_div7(x: int) -> int:
+    """x / 7, which a closed form's numerator must divide into exactly."""
+    q, r = divmod(x, 7)
     if r:
-        raise InconsistencyError(f"closed-form numerator {numerator} is not divisible by 7")
+        raise InconsistencyError(f"closed-form numerator {x} is not divisible by 7")
     return q
 
 

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import marshal
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -531,6 +533,108 @@ def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, f
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
+def test_ctrl_c_in_this_process_kills_the_children_and_exits_130(capsys, monkeypatch, fmt):
+    def stalled(targets, n_from, n_to, part, parts, keep):
+        if part:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(identities, "_tally", stalled)
+    start = time.monotonic()
+    code, out, err, forks = verify_on(capsys, monkeypatch, 2, fmt,
+                                      "verify", "--identity", "E4", "--to", "200")
+    assert time.monotonic() - start < 30
+    assert (code, out, err, forks) == (130, "", "j3o: interrupted\n", 1)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_only_a_request_in_parts_handles_sigterm_and_its_children_ignore_ctrl_c(
+        capsys, monkeypatch, cpus):
+    # A child reports its SIGINT handler as its error; this process
+    # handles SIGTERM only while it has children.
+    before = signal.getsignal(signal.SIGTERM)
+    tally = identities._tally
+
+    def probe(targets, n_from, n_to, part, parts, keep):
+        if part:
+            raise RuntimeError(repr(signal.getsignal(signal.SIGINT)))
+        assert signal.getsignal(signal.SIGTERM) is (cli._terminated if parts > 1 else before)
+        return tally(targets, n_from, n_to, part, parts, keep)
+
+    monkeypatch.setattr(identities, "_tally", probe)
+    code, out, err, forks = verify_on(capsys, monkeypatch, cpus, "csv",
+                                      "verify", "--identity", "E4", "--to", "127")
+    if cpus == 1:
+        assert (code, err, forks) == (0, "", 0)
+    else:
+        assert (code, out, forks) == (3, "", 1)
+        assert err == ("j3o: error: ChildProcessError: a counting process failed: "
+                       f"RuntimeError: {signal.SIG_IGN!r}\n")
+    assert signal.getsignal(signal.SIGTERM) is before
+    assert_no_child_left()
+
+
+def children_of(pid):
+    """The live processes whose parent is ``pid``, from ``/proc``."""
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and status(int(entry)) == pid]
+
+
+def status(pid):
+    """The parent of ``pid``, or None once it has ended, a zombie included."""
+    try:
+        stat = pathlib.Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rpartition(")")[2].split()[:2]
+    return None if state == "Z" else int(ppid)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                         and len(os.sched_getaffinity(0)) > 1 and os.path.isdir("/proc")),
+                    reason="a request in parts needs fork, sched_getaffinity and two CPUs")
+@pytest.mark.parametrize("signum, group, code, line", [
+    (signal.SIGINT, True, 130, "j3o: interrupted"),
+    (signal.SIGTERM, False, 143, "j3o: terminated"),
+], ids=["ctrl-c-to-the-group", "sigterm-to-the-parent"])
+def test_a_signal_ends_a_request_in_parts_with_one_line_and_no_child(signum, group, code, line):
+    if signal.getsignal(signum) is signal.SIG_IGN:
+        pytest.skip("this process ignores the signal, and so would the request")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    # Ctrl-C reaches every process of the terminal's foreground group; the
+    # request leads a group of its own here.  It runs for minutes if no
+    # signal ends it.
+    process = subprocess.Popen(
+        [sys.executable, "-m", "jacobsthal_octonions", "verify", "--all", "--variant", "both",
+         "--to", "30000", "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        children = []
+        while not children and process.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            children = children_of(process.pid)
+        assert children, "no child forked"
+        time.sleep(0.2)  # into their parts
+        if group:
+            os.killpg(process.pid, signum)
+        else:
+            process.send_signal(signum)
+        out, err = process.communicate(timeout=60)
+        left = [pid for pid in children if status(pid) is not None]
+    finally:
+        # Whatever of the request's group a failure leaves running.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        if process.poll() is None:
+            process.communicate()
+    assert (process.returncode, out, err) == (code, "", line + "\n")
+    assert left == []
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_a_domain_error_in_a_part_reads_as_in_one_part(capsys, monkeypatch, fmt):
     # A right side that reads J3(n + 1), as E10's once did, is past the
     # bound at the range's end, which only the child evaluates.
@@ -607,13 +711,6 @@ def test_a_rendered_failure_is_what_json_dumps_writes(value):
         *(json.dumps(wire[side], separators=(",", ":")) for side in ("lhs", "rhs", "delta"))))
 
 
-def test_nested_and_empty_values_render_as_json_dumps_writes():
-    for obj in ([], {}, "", 7, ["1", [], {}], {"a": [], "b": {"c": ["1", 2]}, "d": {}},
-                [[["x"]], "y\u00e9\"\\"]):
-        assert cli._indented(obj, "") == json.dumps(obj, indent=2)
-        assert cli._indented([[{"k": obj}]], "") == json.dumps([[{"k": obj}]], indent=2)
-
-
 # --- determinism and --out ------------------------------------------------------
 
 
@@ -657,6 +754,53 @@ def test_missing_out_directory_exits_3_without_traceback(tmp_path):
     (line,) = result.stderr.splitlines()
     assert line.startswith("j3o: error: FileNotFoundError: ")
     assert "Traceback" not in result.stderr
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, on a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", ["seq --kind j3 --to 50", "oct --kind JO --n 40 --closed",
+                                  "verify --all --variant both --to 300"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, tmp_path,
+                                                          argv, fmt, cpus):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with contextlib.redirect_stdout(ClosedPipe(fd)):
+            code, out, err, forks = verify_on(capsys, monkeypatch, cpus, fmt, *argv.split())
+        assert (code, out, err) == (cli.EXIT_BROKEN_PIPE, "", "") == (141, "", "")
+        assert forks == (cpus - 1 if argv.startswith("verify") else 0)
+        # What is left to flush at exit goes to devnull.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert_no_child_left()
+
+
+def test_a_reader_that_stops_early_ends_the_request_with_141():
+    # A fresh interpreter, whose flush at exit would raise again.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "jacobsthal_octonions", "verify", "--all", "--variant", "both",
+         "--to", "300", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    with process:
+        assert process.stdout.read(20) == b'[\n  {\n    "id": "E4"'
+        process.stdout.close()
+        assert process.stderr.read() == b""
+    assert process.returncode == 141
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -152,7 +152,8 @@ def test_failure_delta_is_lhs_minus_rhs():
 
 # --- right sides as numerators over each row's denominator --------------------
 
-DENOMINATORS = {IdentityId.T1_NORM: 49, IdentityId.T2_NORM: 49, IdentityId.T4_PROD_JOJ: 49,
+DENOMINATORS = {IdentityId.BINET_JO: 7, IdentityId.BINET_JOL: 7,
+                IdentityId.T1_NORM: 49, IdentityId.T2_NORM: 49, IdentityId.T4_PROD_JOJ: 49,
                 IdentityId.T4_PROD_JJO: 49, IdentityId.T5_QUAD: 49, IdentityId.T6_QUAD: 7}
 
 
@@ -161,6 +162,10 @@ def rational_right_sides(identity, n):
     ``Fraction`` and ``ScaledOctonion`` arithmetic of the printed forms
     gives them."""
     ae, ea, square = ALPHA * epsilon_hat(n), epsilon_hat(n) * ALPHA, ALPHA * ALPHA
+    if identity is IdentityId.BINET_JO:
+        return (ScaledOctonion(ALPHA * 2 ** (n + 1) - epsilon_hat(n), 7),)
+    if identity is IdentityId.BINET_JOL:
+        return (ScaledOctonion(ALPHA * 2 ** (n + 3) + epsilon_hat(n) * 3, 7),)
     if identity in (IdentityId.T1_NORM, IdentityId.T2_NORM):
         jo = identity is IdentityId.T1_NORM
         b, c = (identities._JO_NORM_TAIL if jo else identities._JOL_NORM_TAIL)[n % 3]

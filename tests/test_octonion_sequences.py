@@ -1,15 +1,22 @@
+import random
+
 import pytest
 
-from jacobsthal_octonions.errors import DomainError
+from jacobsthal_octonions import octonion_sequences, sequences
+from jacobsthal_octonions.errors import DomainError, InconsistencyError
+from jacobsthal_octonions.identities import REGISTRY, IdentityId, _term_lists
 from jacobsthal_octonions.octonion import Octonion
 from jacobsthal_octonions.octonion_sequences import (
     ALPHA,
     EPSILON_HAT_ROWS,
     OctonionSequenceKind,
+    _closed_numerator,
+    _period3_rows,
     epsilon_hat,
     oct_seq,
     oct_seq_closed,
 )
+from jacobsthal_octonions.sequences import THIRD_ORDER_KINDS, seq_closed
 
 JO = OctonionSequenceKind.JACOBSTHAL
 JOL = OctonionSequenceKind.JACOBSTHAL_LUCAS
@@ -61,6 +68,31 @@ def test_closed_form_spot_values():
     assert oct_seq_closed(JO, 0) == Octonion((0, 1, 1, 2, 5, 9, 18, 37))
     assert oct_seq_closed(JOL, 0) == Octonion((2, 1, 5, 10, 17, 37, 74, 145))
     assert oct_seq_closed(JO, 1)[0] == 1  # (4*1 - (-3)) / 7
+
+
+@pytest.mark.parametrize("kind, row", [(JO, IdentityId.BINET_JO), (JOL, IdentityId.BINET_JOL)])
+def test_the_closed_form_is_the_binet_rows_numerator_over_7(kind, row):
+    # One numerator: oct_seq_closed divides it by 7, and the BINET row
+    # checks it over its den of 7.
+    descriptor = REGISTRY[row]
+    assert descriptor.den == 7
+    for n in (*range(41), 3000, random.Random(21).randrange(99000, 10 ** 5)):
+        numerator = _closed_numerator(kind, n)
+        assert oct_seq_closed(kind, n) * 7 == numerator
+        ((_, t),) = _term_lists(n, n, descriptor.reads_sums)
+        assert descriptor.sides(t, n)[1] == numerator
+
+
+def test_a_remainder_in_either_closed_form_raises(monkeypatch):
+    # A mistyped correction pattern, (3, -3, 1) for (2, -3, 1), leaves the
+    # numerators 2 - 3 = -1 and 8 + 3*3 = 17 at n = 0.
+    monkeypatch.setattr(sequences, "CORRECTION_TABLE", (3, -3, 1))
+    monkeypatch.setattr(octonion_sequences, "EPSILON_HAT_ROWS", _period3_rows((3, -3, 1)))
+    for kinds, closed in ((THIRD_ORDER_KINDS, seq_closed), ((JO, JOL), oct_seq_closed)):
+        for kind, numerator in zip(kinds, (-1, 17)):
+            with pytest.raises(InconsistencyError,
+                               match=f"^closed-form numerator {numerator} is not divisible by 7$"):
+                closed(kind, 0)
 
 
 def test_octonion_recurrence():

@@ -75,3 +75,15 @@ def test_unknown_name_is_refused_without_loading_the_table():
     code = ("import jacobsthal_octonions\n"
             "assert not hasattr(jacobsthal_octonions, 'no_such_name')")
     assert loaded_after(code, IDENTITIES) == {IDENTITIES: False}
+
+
+def test_a_request_in_one_process_loads_no_signal():
+    # Only a request in parts handles signals.  Whether the interpreter
+    # preloads ``signal`` differs between versions, so the probe compares.
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "before = 'signal' in sys.modules\n"
+            "from jacobsthal_octonions import cli\n"
+            "assert cli.main(['verify', '--all', '--to', '300', '--format', 'csv']) == 1\n"
+            "assert ('signal' in sys.modules) is before")
+    assert loaded_after(code, "signal")
