@@ -5,10 +5,12 @@ table keyed by its name, holding its statement, its domain of validity and
 two independent computation paths over the terms ``_term_lists`` builds:
 
 * the left side is always ground truth: recurrence-generated scalars
-  combined with exact octonion arithmetic, never a closed form.  A
-  product of two octonions of terms, such as JO(n)*jO(n), is the nine
-  products of their first three terms each, with small weights that the
-  recurrence and the octonion table give at import (``_product``);
+  combined with exact octonion arithmetic, never a closed form.  The
+  running sums of E10 and E11 are read off two terms by the summed
+  recurrence.  A product of two octonions of terms, such as JO(n)*jO(n),
+  is the nine products of their first three terms each, with small
+  weights that the recurrence and the octonion table give at import
+  (``_product``);
 * the right side is the as-printed closed form (and, for the two
   identities whose printed forms do not survive exact verification, an
   oracle-validated corrected variant as well), as an integer numerator
@@ -37,7 +39,7 @@ suite.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import islice
 from typing import (TYPE_CHECKING, Callable, Collection, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -56,7 +58,6 @@ from .sequences import (
     SequenceKind,
     _check_index,
     _walk,
-    _x_power,
     correction,
     partial_sum_closed,
     seq_terms,
@@ -75,15 +76,11 @@ Value = Union[int, "Fraction", Octonion, ScaledOctonion]
 
 
 class _Terms(NamedTuple):
-    """The J3 and JL3 terms and their running sums that one chunk of a
-    range reads, indexed by term index: j[n] = J3(n), j_sum[n] = J3(0) +
-    ... + J3(n), and likewise l and l_sum for JL3.  The sums are None
-    where no row of the request reads them."""
+    """The J3 and JL3 terms that one chunk of a range reads, indexed by
+    term index: j[n] = J3(n) and l[n] = JL3(n)."""
 
     j: list
     l: list
-    j_sum: Optional[dict] = None
-    l_sum: Optional[dict] = None
 
 
 # The most indices a chunk of a range evaluates: it holds the terms of at
@@ -96,42 +93,24 @@ class _Terms(NamedTuple):
 _CHUNK = 64
 
 
-def _running_sum(kind: SequenceKind, n: int) -> int:
-    """J3(0) + ... + J3(n), or the same for JL3, and 0 for n = -1.
-
-    The running sum S obeys its own recurrence S(n+4) = 2*S(n+3) + S(n+1) -
-    2*S(n), whose polynomial (x - 1)(x^3 - x^2 - x - 2) = x^4 - 2x^3 - x + 2
-    adds the root 1 to those of the terms.  So S(n) is reached like a term,
-    the residue of x^n modulo it (``sequences._x_power``) applied to S(0..3).
-    This stays the recurrence path; the closed form is the right side."""
-    if n < 0:
-        return 0
-    seeds = accumulate(islice(seq_terms(kind), 4))
-    return sum(c * s for c, s in zip(_x_power(kind, n), seeds))
-
-
-def _term_lists(n_from: int, n_to: int, sums: bool,
+def _term_lists(n_from: int, n_to: int,
                 size: int = _CHUNK) -> Iterator[tuple[range, _Terms]]:
     """The indices of [n_from, n_to] a chunk of ``size`` at a time, each
-    with the terms and, with ``sums``, the running sums that identity sides
-    read at them.
+    with the terms that identity sides read at them.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
     last coefficient of JO(n+3) in T3_A and T5_QUAD).  Each kind is walked
-    once, from n_from - 3, which powering reaches directly, and its running
-    sum starts from the sum below n_from, reached the same way.  The term
-    lists keep their absolute indices, so sides read them with no offset:
-    they are one list per kind, None outside the current chunk's window, so
-    a range holds O(n) bits of terms at index n rather than every term it
-    passed.  The sums are only read at an index, never sliced, so they are
-    one dict per chunk.  Without ``sums`` neither is reached nor built.  A
-    range that ends past the index bound is refused before any walk.
+    once, from n_from - 3, which powering reaches directly.  The term lists
+    keep their absolute indices, so sides read them with no offset: they
+    are one list per kind, None outside the current chunk's window, so a
+    range holds O(n) bits of terms at index n rather than every term it
+    passed.  A range that ends past the index bound is refused before any
+    walk.
     """
     _check_index(n_to)
     low = max(n_from - 3, 0)
     lists = [[None] * (n_to + 11) for _ in THIRD_ORDER_KINDS]
     walks = [seq_terms(kind, low) for kind in THIRD_ORDER_KINDS]
-    below = [_running_sum(kind, n_from - 1) for kind in THIRD_ORDER_KINDS] if sums else []
     cleared = filled = low
     for first in range(n_from, n_to + 1, size):
         end = min(first + size, n_to + 1)
@@ -140,14 +119,11 @@ def _term_lists(n_from: int, n_to: int, sums: bool,
             terms[cleared:keep] = [None] * (keep - cleared)
             terms[filled:end + 10] = islice(walk, end + 10 - filled)
         cleared, filled = keep, end + 10
-        chunk_sums = [dict(enumerate(accumulate(terms[first:end], initial=total), first - 1))
-                      for terms, total in zip(lists, below)]
-        below = [running[end - 1] for running in chunk_sums]
-        yield range(first, end), _Terms(*lists, *chunk_sums)
+        yield range(first, end), _Terms(*lists)
 
 
-# The sides of one identity at index n from the J3 and JL3 terms and
-# running sums t of the chunk that ``_term_lists`` yields for n:
+# The sides of one identity at index n from the J3 and JL3 terms t of the
+# chunk that ``_term_lists`` yields for n:
 # sides(t, n) is the left side, then the numerator over the row's ``den``
 # of one right side per variant of the identity, in the order of its
 # ``variants``: (lhs, printed) or (lhs, printed, corrected).
@@ -409,15 +385,13 @@ class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
     ``sides``), its domain, n >= n_min and, when ``residue`` is set,
-    n = residue (mod 3), whether its sides read the running sums, and the
-    denominator ``den`` that its right sides' numerators are over."""
+    n = residue (mod 3), and the denominator ``den`` that its right sides' numerators are over."""
 
     statement: str
     sides: Sides
     variants: tuple[Variant, ...] = (Variant.AS_PRINTED,)
     n_min: int = 0
     residue: Optional[int] = None
-    reads_sums: bool = False
     den: int = 1
 
     def in_domain(self, n: int) -> bool:
@@ -428,7 +402,10 @@ class IdentityDescriptor(NamedTuple):
 
 # The scalar identities between J3 and JL3 in report order; rows that
 # reference index n-3 start at n = 3.  EC5, E6 and E8 have period-3 right
-# sides.
+# sides.  E10 and E11 read the running sum S(n) = x(0) + ... + x(n) of J3
+# or JL3 off two terms: the recurrence x(k+3) = x(k+2) + x(k+1) + 2*x(k)
+# summed over k = 0..n telescopes to 3*S(n) = x(n+2) + 2*x(n) + x(0) -
+# x(2), where x(0) - x(2) is -1 for J3 and -3 for JL3.
 _SCALAR_IDENTITIES = {
     "E4": IdentityDescriptor(
         "3*J3(n) + JL3(n) = 2^(n+1)",
@@ -453,13 +430,12 @@ _SCALAR_IDENTITIES = {
         lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
     "E10": IdentityDescriptor(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda t, n: (t.j_sum[n], partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n)),
-        reads_sums=True),
+        lambda t, n: ((t.j[n + 2] + 2 * t.j[n] - 1) // 3,
+                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
     "E11": IdentityDescriptor(
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
-        lambda t, n: (t.l_sum[n],
-                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n)),
-        reads_sums=True),
+        lambda t, n: ((t.l[n + 2] + 2 * t.l[n] - 3) // 3,
+                      partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
     "E12": IdentityDescriptor(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
         lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
@@ -587,7 +563,7 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    ((_, terms),) = _term_lists(n, n, descriptor.reads_sums)
+    ((_, terms),) = _term_lists(n, n)
     sides = descriptor.sides(terms, n)
     return _check(identity, variant, n, sides[0], _rhs(sides[column], descriptor.den))
 
@@ -598,8 +574,7 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     """[checked, then the failures of each of its variants] for each
     ``(identity, variants)`` of ``targets``, in order, over [n_from, n_to].
 
-    The terms are walked once for every target, with the running sums when
-    any target reads them, and each target's sides are evaluated once per
+    The terms are walked once for every target, and each target's sides are evaluated once per
     index of its domain, so its variants share the left side, which is
     scaled once by the row's ``den`` and compared with each variant's
     numerator: a passing index builds no rational value.  Only the
@@ -623,8 +598,7 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     chunks = parts * -(-length // (_CHUNK * parts))
     size = -(-length // chunks)
     tallies = [[0, *([] if keep else 0 for _ in variants)] for _, variants in targets]
-    sums = any(descriptor.reads_sums for _, descriptor, *_ in rows)
-    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, sums, size)):
+    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, size)):
         if k % parts != part:
             continue
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):

@@ -101,9 +101,9 @@ def _x_power(kind: SequenceKind, n: int) -> tuple[int, ...]:
     Fiduccia, "An efficient formula for linear recurrences", SIAM J.
     Comput. 14 (1985)).  Term n is then sum(c[i] * term(i)) for any sequence
     the multiple annihilates: x^2 - x - 2 for J and JL, and for J3 and JL3
-    (x - 2)(x^3 - 1) = x^4 - 2x^3 - x + 2, which adds the root 1 and so also
-    fits their running sums (``identities._running_sum``).  Its c1 and c2
-    are 0 or 1, so a squaring takes three large products, not six.  Its
+    (x - 2)(x^3 - 1) = x^4 - 2x^3 - x + 2, of order 4 rather than 3 because
+    its c1 and c2 are 0 or 1, so a squaring takes three large products, not
+    six.  Its
     closed form, x^(n mod 3) + (2^n - 2^(n mod 3))/7 * (x^3 - 1), is the
     Binet form: a left side built on it would not be independent."""
     # One reduction per order, unrolled.  Each bit of n squares the residue,

@@ -26,7 +26,6 @@ from jacobsthal_octonions.identities import (
     _Terms,
     _oct,
     _product,
-    _running_sum,
     _term_lists,
 )
 from jacobsthal_octonions.octonion import Octonion, ScaledOctonion
@@ -196,7 +195,7 @@ def test_numerators_over_den_check_and_witness_as_the_rationals_do(identity):
     for n in (*range(41), 3000, random.Random(20).randrange(99000, 10 ** 5)):
         if not descriptor.in_domain(n):
             continue
-        ((_, t),) = _term_lists(n, n, descriptor.reads_sums)
+        ((_, t),) = _term_lists(n, n)
         lhs, *numerators = descriptor.sides(t, n)
         rationals = rational_right_sides(identity, n) if den > 1 else numerators
         for variant, numerator, rhs in zip(descriptor.variants, numerators, rationals):
@@ -583,13 +582,12 @@ def test_partial_sum_rows_far_from_zero(identity, kind):
 
 
 def reference_ranges(identity, variants, n_from, n_to):
-    """``verify_ranges`` as it was first built: every term and running sum
-    from index 0 to n_to + 10 in full lists, and a report with its delta at
+    """``verify_ranges`` as it was first built: every term from index 0 to n_to + 10 in full lists, and a report with its delta at
     every index, kept when the delta is not zero.  A right side is its
     numerator over the row's ``den``, as a ``Fraction`` or
     ``ScaledOctonion`` unless ``den`` is 1."""
     terms = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
-    t = _Terms(*terms, *(dict(enumerate(accumulate(x))) for x in terms))
+    t = _Terms(*terms)
     descriptor = REGISTRY[identity]
     skipped, failures, checked = [], [[] for _ in variants], 0
     for n in range(n_from, n_to + 1):
@@ -642,51 +640,33 @@ def test_windowed_quadratic_rows_in_both_variant_orders(identity, variants, n_fr
 @pytest.mark.parametrize("n_from, n_to", [(0, 3 * _CHUNK + 5), (1000, 1000 + 2 * _CHUNK)])
 def test_term_lists_hold_one_window(n_from, n_to):
     # Each chunk holds the terms n - 3 .. n + 10 of its indices and nothing
-    # else, however far the range runs; its sums are those of its indices.
+    # else, however far the range runs.
     seen = []
-    for indices, t in _term_lists(n_from, n_to, sums=True):
+    for indices, t in _term_lists(n_from, n_to):
         seen += indices
         assert len(indices) <= _CHUNK
         window = range(max(indices[0] - 3, 0), indices[-1] + 11)
-        for kind, terms, sums in zip(THIRD_ORDER_KINDS, (t.j, t.l), (t.j_sum, t.l_sum)):
+        for kind, terms in zip(THIRD_ORDER_KINDS, (t.j, t.l)):
             assert [k for k, x in enumerate(terms) if x is not None] == list(window)
             assert terms[window[0]:window[-1] + 1] == list(
                 islice(seq_terms(kind, window[0]), len(window)))
-            assert [sums[n] for n in indices] == [partial_sum(kind, n) for n in indices]
     assert seen == list(range(n_from, n_to + 1))
-
-
-def test_only_the_partial_sum_rows_reach_running_sums(monkeypatch):
-    # A range of any other row neither powers to the sums below n_from nor
-    # builds them chunk by chunk: its terms carry none.
-    reached = []
-    running_sum = identities._running_sum
-
-    def counted(kind, n):
-        reached.append(kind)
-        return running_sum(kind, n)
-
-    monkeypatch.setattr(identities, "_running_sum", counted)
-    for identity, descriptor in REGISTRY.items():
-        reached.clear()
-        reports = verify_ranges(identity, descriptor.variants, 1000, 1000 + 2 * _CHUNK)
-        assert reports == reference_ranges(identity, descriptor.variants,
-                                           1000, 1000 + 2 * _CHUNK)
-        reads_sums = identity in (IdentityId.E10, IdentityId.E11)
-        assert descriptor.reads_sums == reads_sums
-        assert reached == (list(THIRD_ORDER_KINDS) if reads_sums else [])
-    for _, t in _term_lists(5, 5 + 2 * _CHUNK, sums=False):
-        assert (t.j_sum, t.l_sum) == (None, None)
 
 
 @pytest.mark.parametrize("kind", THIRD_ORDER_KINDS)
 def test_running_sums_by_powering_equal_the_literal_sum(kind):
-    # The running sum's own recurrence, x^4 - 2x^3 - x + 2, reaches S(n)
-    # without the prefix walk; partial_sum adds the terms one by one.
-    assert _running_sum(kind, -1) == 0
+    # The left side of E10 (J3) or E11 (JL3) reads the running sum S(n) off
+    # the terms n and n + 2 of one window, by the summed recurrence, with
+    # no prefix walk; partial_sum adds the terms one by one.
+    sides = REGISTRY[IdentityId.E10 if kind is THIRD_ORDER_KINDS[0] else IdentityId.E11].sides
+
+    def running_sum(n):
+        ((_, t),) = _term_lists(n, n)
+        return sides(t, n)[0]
+
     sums = list(accumulate(islice(seq_terms(kind), 400)))
-    assert [_running_sum(kind, n) for n in range(400)] == sums
+    assert [running_sum(n) for n in range(400)] == sums
     for n in random.Random(11).sample(range(400, 10 ** 4), 12) + [10 ** 4]:
-        assert _running_sum(kind, n) == partial_sum(kind, n), n
+        assert running_sum(n) == partial_sum(kind, n), n
     # The largest n that E10 and E11 accept, against the closed form.
-    assert _running_sum(kind, 10 ** 6) == partial_sum_closed(kind, 10 ** 6)
+    assert running_sum(10 ** 6) == partial_sum_closed(kind, 10 ** 6)
