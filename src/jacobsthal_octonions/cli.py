@@ -30,6 +30,7 @@ other threads.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import marshal
 import os
@@ -65,13 +66,27 @@ def _compact(obj) -> str:
 
 
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
-    """Write the output, given as the strings it joins, to ``out`` or stdout."""
+    """Write the output, given as the strings it joins, to ``out`` or stdout.
+
+    Stdout's bytes go to its buffer, when it has one, a piece at a time:
+    a buffered write that the reader leaves midway returns the short count
+    of what it wrote, which the text layer would drop, so a short count is
+    raised as the closed pipe it is."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
-    else:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text stream, such as io.StringIO
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
+        return
+    sys.stdout.flush()
+    for piece in pieces:
+        data = piece.encode(sys.stdout.encoding)
+        if buffer.write(data) < len(data):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    buffer.flush()
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:

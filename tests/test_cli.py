@@ -781,6 +781,44 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, t
     assert_no_child_left()
 
 
+class PartialPipe(io.TextIOWrapper):
+    """A stdout whose reader goes during a write: its buffer takes the first
+    16 bytes of each write and returns their count, as a pipe's buffered
+    writer does.  It has a file descriptor of its own."""
+
+    class Buffer(io.BytesIO):
+        def write(self, data):
+            return super().write(bytes(data)[:16])
+
+    def __init__(self, fd):
+        super().__init__(self.Buffer(), encoding="utf-8")
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", ["seq --kind j3 --to 50", "oct --kind JO --n 40 --closed",
+                                  "verify --all --variant both --to 300"])
+def test_a_write_that_the_reader_leaves_midway_exits_141(capsys, monkeypatch, tmp_path,
+                                                         argv, fmt):
+    # The short count is all that shows of the reader going; the text layer
+    # alone would drop it and exit 0.
+    _, full, _, _ = verify_on(capsys, monkeypatch, 1, fmt, *argv.split())
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = PartialPipe(fd)
+        with contextlib.redirect_stdout(stdout):
+            code, out, err, _ = verify_on(capsys, monkeypatch, 1, fmt, *argv.split())
+        assert (code, out, err) == (cli.EXIT_BROKEN_PIPE, "", "")
+        written = stdout.buffer.getvalue().decode()
+        assert full.startswith(written) and len(written) < len(full)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_a_reader_that_stops_early_ends_the_request_with_141():
     # A fresh interpreter, whose flush at exit would raise again.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -791,6 +829,21 @@ def test_a_reader_that_stops_early_ends_the_request_with_141():
         stderr=subprocess.PIPE)
     with process:
         assert process.stdout.read(20) == b'[\n  {\n    "id": "E4"'
+        process.stdout.close()
+        assert process.stderr.read() == b""
+    assert process.returncode == 141
+
+
+def test_a_reader_that_stops_early_ends_one_large_write_with_141():
+    # One piece far larger than a pipe holds: the reader goes during the
+    # write, whose short count is the only sign of it.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "jacobsthal_octonions", "seq", "--kind", "j3", "--to", "5000"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    with process:
+        assert process.stdout.read(20) == b"0\t0\n1\t1\n2\t1\n3\t2\n4\t5\n"
         process.stdout.close()
         assert process.stderr.read() == b""
     assert process.returncode == 141
