@@ -93,8 +93,7 @@ class _Terms(NamedTuple):
 _CHUNK = 64
 
 
-def _term_lists(n_from: int, n_to: int,
-                size: int = _CHUNK) -> Iterator[tuple[range, _Terms]]:
+def _term_lists(n_from: int, n_to: int, size: int = _CHUNK) -> Iterator[tuple[range, _Terms]]:
     """The indices of [n_from, n_to] a chunk of ``size`` at a time, each
     with the terms that identity sides read at them.
 
@@ -385,7 +384,8 @@ class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
     ``sides``), its domain, n >= n_min and, when ``residue`` is set,
-    n = residue (mod 3), and the denominator ``den`` that its right sides' numerators are over."""
+    n = residue (mod 3), and the denominator ``den`` that its right sides'
+    numerators are over."""
 
     statement: str
     sides: Sides
@@ -574,16 +574,16 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     """[checked, then the failures of each of its variants] for each
     ``(identity, variants)`` of ``targets``, in order, over [n_from, n_to].
 
-    The terms are walked once for every target, and each target's sides are evaluated once per
-    index of its domain, so its variants share the left side, which is
-    scaled once by the row's ``den`` and compared with each variant's
-    numerator: a passing index builds no rational value.  Only the
-    chunks ``part``, ``part + parts``, ... of the range are evaluated; the
-    walk passes the others by, so ``parts`` processes can share a range.
-    The failures are counted or, with ``keep``, listed as what it makes of
-    each one's report, in order of n.  Counting builds no report and
-    computes no delta, so a range holds no witness, and a caller holds
-    what it keeps and one chunk of terms.
+    The terms are walked once for every target, and each target's sides
+    are evaluated once per index of its domain, so its variants share the
+    left side, which is scaled once by the row's ``den`` and compared with
+    each variant's numerator: a passing index builds no rational value.
+    Only the chunks ``part``, ``part + parts``, ... of the range are
+    evaluated; the walk passes the others by, so ``parts`` processes can
+    share a range.  The failures are counted or, with ``keep``, listed as
+    what it makes of each one's report, in order of n.  Counting builds no
+    report and computes no delta, so a range holds no witness, and a
+    caller holds what it keeps and one chunk of terms.
 
     The range is cut into a multiple of ``parts`` chunks of at most
     ``_CHUNK`` indices and of nearly equal size, so that every part gets
