@@ -797,7 +797,7 @@ class PartialPipe(io.TextIOWrapper):
         return self.fd
 
 
-@pytest.mark.parametrize("pipe", [ClosedPipe, PartialPipe])
+@pytest.mark.parametrize("pipe", [ClosedPipe, PartialPipe], ids=["closed", "partial"])
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("argv", ["seq --kind j3 --to 50", "oct --kind JO --n 40 --closed",

@@ -582,10 +582,11 @@ def test_partial_sum_rows_far_from_zero(identity, kind):
 
 
 def reference_ranges(identity, variants, n_from, n_to):
-    """``verify_ranges`` as it was first built: every term from index 0 to n_to + 10 in full lists, and a report with its delta at
-    every index, kept when the delta is not zero.  A right side is its
-    numerator over the row's ``den``, as a ``Fraction`` or
-    ``ScaledOctonion`` unless ``den`` is 1."""
+    """``verify_ranges`` as it was first built: every term from index 0 to
+    n_to + 10 in full lists, and a report with its delta at every index,
+    kept when the delta is not zero.  A right side is its numerator over
+    the row's ``den``, as a ``Fraction`` or ``ScaledOctonion`` unless
+    ``den`` is 1."""
     terms = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
     t = _Terms(*terms)
     descriptor = REGISTRY[identity]
