@@ -75,14 +75,6 @@ if TYPE_CHECKING:
 Value = Union[int, "Fraction", Octonion, ScaledOctonion]
 
 
-class _Terms(NamedTuple):
-    """The J3 and JL3 terms that one chunk of a range reads, indexed by
-    term index: j[n] = J3(n) and l[n] = JL3(n)."""
-
-    j: list
-    l: list
-
-
 # The most indices a chunk of a range evaluates: it holds the terms of at
 # most _CHUNK + 13 indices per kind, however long the range.  Each chunk
 # costs a few list operations, so any size from 32 to 256 runs a suite
@@ -93,18 +85,18 @@ class _Terms(NamedTuple):
 _CHUNK = 64
 
 
-def _term_lists(n_from: int, n_to: int, size: int = _CHUNK) -> Iterator[tuple[range, _Terms]]:
+def _term_lists(n_from: int, n_to: int, size: int = _CHUNK) -> Iterator[tuple[range, list, list]]:
     """The indices of [n_from, n_to] a chunk of ``size`` at a time, each
-    with the terms that identity sides read at them.
+    with the J3 and JL3 terms j and l that identity sides read at them.
 
     No side reads below index n - 3 (E5, E9 and E12) or above n + 10 (the
     last coefficient of JO(n+3) in T3_A and T5_QUAD).  Each kind is walked
     once, from n_from - 3, which powering reaches directly.  The term lists
-    keep their absolute indices, so sides read them with no offset: they
-    are one list per kind, None outside the current chunk's window, so a
-    range holds O(n) bits of terms at index n rather than every term it
-    passed.  A range that ends past the index bound is refused before any
-    walk.
+    keep their absolute indices, j[n] = J3(n) and l[n] = JL3(n), so sides
+    read them with no offset: they are one list per kind, None outside the
+    current chunk's window, so a range holds O(n) bits of terms at index n
+    rather than every term it passed.  A range that ends past the index
+    bound is refused before any walk.
     """
     _check_index(n_to)
     low = max(n_from - 3, 0)
@@ -118,15 +110,15 @@ def _term_lists(n_from: int, n_to: int, size: int = _CHUNK) -> Iterator[tuple[ra
             terms[cleared:keep] = [None] * (keep - cleared)
             terms[filled:end + 10] = islice(walk, end + 10 - filled)
         cleared, filled = keep, end + 10
-        yield range(first, end), _Terms(*lists)
+        yield range(first, end), *lists
 
 
-# The sides of one identity at index n from the J3 and JL3 terms t of the
-# chunk that ``_term_lists`` yields for n:
-# sides(t, n) is the left side, then the numerator over the row's ``den``
-# of one right side per variant of the identity, in the order of its
-# ``variants``: (lhs, printed) or (lhs, printed, corrected).
-Sides = Callable[[_Terms, int], tuple[Value, ...]]
+# The sides of one identity at index n from the J3 and JL3 terms j and l
+# of the chunk that ``_term_lists`` yields for n:
+# sides(j, l, n) is the left side, then the numerator over the row's
+# ``den`` of one right side per variant of the identity, in the order of
+# its ``variants``: (lhs, printed) or (lhs, printed, corrected).
+Sides = Callable[[list, list, int], tuple[Value, ...]]
 
 
 class Variant(Enum):
@@ -344,35 +336,35 @@ def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> int:
     return lead + b * 2 ** n + c
 
 
-def _sides_oct_rec(t: _Terms, n: int):
+def _sides_oct_rec(j: list, l: list, n: int):
     # Both sequences obey the recurrence; report the first failing pair,
     # or the JO pair (zero delta) when both hold.
-    for terms in (t.j, t.l):
+    for terms in (j, l):
         lhs = _oct(terms, n + 2)
         rhs = _oct(terms, n + 1) + _oct(terms, n) + _oct(terms, n - 1) * 2
         if lhs != rhs:
             return lhs, rhs
-    lhs = _oct(t.j, n + 2)
+    lhs = _oct(j, n + 2)
     return lhs, lhs
 
 
-def _sides_t5(t: _Terms, n: int):
+def _sides_t5(j: list, l: list, n: int):
     # Numerators over 49 of the printed right side, alpha^2*4^(n+3) +
     # 3*(25*alpha*eps - 31*eps*alpha)*2^(n+1)/49, and of its corrected
     # form: the 25/31 weights replaced by an equal-weight commutator at a
     # higher power of two, 3*(alpha*eps - eps*alpha)*2^(n+3)/7.
-    jol = _oct(t.l, n)
+    jol = _oct(l, n)
     square = _ALPHA_SQ_49 * 4 ** (n + 3)
-    return (jol * jol + _product(t.j, t.l, n + 3) * 3,
+    return (jol * jol + _product(j, l, n + 3) * 3,
             square + _T5_PRINTED_ROWS[n % 3] * 2 ** (n + 1),
             square + _T5_CORRECTED_ROWS[n % 3] * 2 ** (n + 3))
 
 
-def _sides_t6(t: _Terms, n: int):
+def _sides_t6(j: list, l: list, n: int):
     # Numerators over 7 of (2*alpha^2 + 3*(alpha*eps + eps*alpha))*2^(n+1)/7
     # as printed, and of its corrected form, which replaces the constant
     # coefficient 2 on the squared-alpha term by the index-dependent 2^(n+1).
-    jol, jo = _oct(t.l, n), _oct(t.j, n)
+    jol, jo = _oct(l, n), _oct(j, n)
     power = 2 ** (n + 1)
     anti = _T6_ROWS[n % 3] * power
     return (jol * jol - (jo * jo) * 9,
@@ -409,39 +401,39 @@ class IdentityDescriptor(NamedTuple):
 _SCALAR_IDENTITIES = {
     "E4": IdentityDescriptor(
         "3*J3(n) + JL3(n) = 2^(n+1)",
-        lambda t, n: (3 * t.j[n] + t.l[n], 2 ** (n + 1))),
+        lambda j, l, n: (3 * j[n] + l[n], 2 ** (n + 1))),
     "E5": IdentityDescriptor(
         "JL3(n) - 3*J3(n) = 2*JL3(n-3)",
-        lambda t, n: (t.l[n] - 3 * t.j[n], 2 * t.l[n - 3]), n_min=3),
+        lambda j, l, n: (l[n] - 3 * j[n], 2 * l[n - 3]), n_min=3),
     "EC5": IdentityDescriptor(
         "J3(n+2) - 4*J3(n) is -2 when n = 1 (mod 3), else 1",
-        lambda t, n: (t.j[n + 2] - 4 * t.j[n], _JO_SHIFT4[n % 3])),
+        lambda j, l, n: (j[n + 2] - 4 * j[n], _JO_SHIFT4[n % 3])),
     "E6": IdentityDescriptor(
         "JL3(n) - 4*J3(n) = V(n), the period-3 correction",
-        lambda t, n: (t.l[n] - 4 * t.j[n], correction(n))),
+        lambda j, l, n: (l[n] - 4 * j[n], correction(n))),
     "E7": IdentityDescriptor(
         "JL3(n+1) + JL3(n) = 3*J3(n+2)",
-        lambda t, n: (t.l[n + 1] + t.l[n], 3 * t.j[n + 2])),
+        lambda j, l, n: (l[n + 1] + l[n], 3 * j[n + 2])),
     "E8": IdentityDescriptor(
         "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
-        lambda t, n: (t.l[n] - t.j[n + 2], _JOL_MINUS_JO_SHIFT2[n % 3])),
+        lambda j, l, n: (l[n] - j[n + 2], _JOL_MINUS_JO_SHIFT2[n % 3])),
     "E9": IdentityDescriptor(
         "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
-        lambda t, n: (t.l[n - 3] ** 2 + 3 * t.j[n] * t.l[n], 4 ** n), n_min=3),
+        lambda j, l, n: (l[n - 3] ** 2 + 3 * j[n] * l[n], 4 ** n), n_min=3),
     "E10": IdentityDescriptor(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
-        lambda t, n: ((t.j[n + 2] + 2 * t.j[n] - 1) // 3,
+        lambda j, l, n: ((j[n + 2] + 2 * j[n] - 1) // 3,
                       partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL, n))),
     "E11": IdentityDescriptor(
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
-        lambda t, n: ((t.l[n + 2] + 2 * t.l[n] - 3) // 3,
+        lambda j, l, n: ((l[n + 2] + 2 * l[n] - 3) // 3,
                       partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
     "E12": IdentityDescriptor(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
-        lambda t, n: (t.l[n] ** 2 - 9 * t.j[n] ** 2, 2 ** (n + 2) * t.l[n - 3]), n_min=3),
+        lambda j, l, n: (l[n] ** 2 - 9 * j[n] ** 2, 2 ** (n + 2) * l[n - 3]), n_min=3),
     "JSUM": IdentityDescriptor(
         "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
-        lambda t, n: (t.j[n + 2] + t.j[n + 1] + t.j[n], 2 ** (n + 1))),
+        lambda j, l, n: (j[n + 2] + j[n + 1] + j[n], 2 ** (n + 1))),
 }
 
 # Every identity, one row each, in report order: the scalar rows first,
@@ -453,51 +445,51 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
         _sides_oct_rec, n_min=1),
     "BINET_JO": IdentityDescriptor(
         "JO(n) equals its closed form (2^(n+1)*alpha - eps(n))/7",
-        lambda t, n: (_oct(t.j, n), _closed_numerator(_JO, n)), den=7),
+        lambda j, l, n: (_oct(j, n), _closed_numerator(_JO, n)), den=7),
     "BINET_JOL": IdentityDescriptor(
         "jO(n) equals its closed form (2^(n+3)*alpha + 3*eps(n))/7",
-        lambda t, n: (_oct(t.l, n), _closed_numerator(_JOL, n)), den=7),
+        lambda j, l, n: (_oct(l, n), _closed_numerator(_JOL, n)), den=7),
     "T1_SUM": IdentityDescriptor(
         "JO(n+2) + JO(n+1) + JO(n) = 2^(n+1)*alpha",
-        lambda t, n: (_oct(t.j, n + 2) + _oct(t.j, n + 1) + _oct(t.j, n), ALPHA * 2 ** (n + 1))),
+        lambda j, l, n: (_oct(j, n + 2) + _oct(j, n + 1) + _oct(j, n), ALPHA * 2 ** (n + 1))),
     "T1_SHIFT4": IdentityDescriptor(
         "JO(n+2) - 4*JO(n) equals a period-3 octonion row",
-        lambda t, n: (_oct(t.j, n + 2) - _oct(t.j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
+        lambda j, l, n: (_oct(j, n + 2) - _oct(j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
     "T1_NORM": IdentityDescriptor(
         "Nr2(JO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda t, n: (_oct(t.j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n)),
+        lambda j, l, n: (_oct(j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n)),
         den=49),
     "T2_SUM": IdentityDescriptor(
         "jO(n+2) + jO(n+1) + jO(n) = 2^(n+3)*alpha",
-        lambda t, n: (_oct(t.l, n + 2) + _oct(t.l, n + 1) + _oct(t.l, n), ALPHA * 2 ** (n + 3))),
+        lambda j, l, n: (_oct(l, n + 2) + _oct(l, n + 1) + _oct(l, n), ALPHA * 2 ** (n + 3))),
     "T2_SHIFT4": IdentityDescriptor(
         "jO(n+2) - 4*jO(n) equals a period-3 octonion row",
-        lambda t, n: (_oct(t.l, n + 2) - _oct(t.l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n + 2) - _oct(l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
     "T2_NORM": IdentityDescriptor(
         "Nr2(jO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda t, n: (_oct(t.l, n).norm_sq(),
+        lambda j, l, n: (_oct(l, n).norm_sq(),
                       _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n)),
         den=49),
     "T3_A": IdentityDescriptor(
         "jO(n+3) - 3*JO(n+3) = 2*jO(n)",
-        lambda t, n: (_oct(t.l, n + 3) - _oct(t.j, n + 3) * 3, _oct(t.l, n) * 2)),
+        lambda j, l, n: (_oct(l, n + 3) - _oct(j, n + 3) * 3, _oct(l, n) * 2)),
     "T3_B": IdentityDescriptor(
         "jO(n) + jO(n+1) = 3*JO(n+2)",
-        lambda t, n: (_oct(t.l, n) + _oct(t.l, n + 1), _oct(t.j, n + 2) * 3)),
+        lambda j, l, n: (_oct(l, n) + _oct(l, n + 1), _oct(j, n + 2) * 3)),
     "T3_C": IdentityDescriptor(
         "jO(n) - JO(n+2) equals a period-3 octonion row",
-        lambda t, n: (_oct(t.l, n) - _oct(t.j, n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n) - _oct(j, n + 2), _JOL_MINUS_JO_SHIFT2_ROWS[n % 3])),
     "T3_D": IdentityDescriptor(
         "jO(n) - 4*JO(n) = eps(n)",
-        lambda t, n: (_oct(t.l, n) - _oct(t.j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
+        lambda j, l, n: (_oct(l, n) - _oct(j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
     "T4_PROD_JOJ": IdentityDescriptor(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda t, n: (_product(t.l, t.j, n),
+        lambda j, l, n: (_product(l, j, n),
                       _product_numerator(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
         residue=0, den=49),
     "T4_PROD_JJO": IdentityDescriptor(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda t, n: (_product(t.j, t.l, n),
+        lambda j, l, n: (_product(j, l, n),
                       _product_numerator(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
         residue=0, den=49),
     "T5_QUAD": IdentityDescriptor(
@@ -530,8 +522,8 @@ def _columns(identity: IdentityId, variants: Sequence[Variant]) -> list[int]:
 
 
 def _rhs(numerator: Union[int, Octonion], den: int) -> Value:
-    """The right side whose numerator over ``den`` is ``numerator``; a
-    range builds one, and loads ``fractions``, only for a failing index."""
+    """``numerator`` over ``den`` in lowest terms; a range builds one, and
+    loads ``fractions``, only for a failing index."""
     if den == 1:
         return numerator
     if isinstance(numerator, Octonion):
@@ -541,15 +533,18 @@ def _rhs(numerator: Union[int, Octonion], den: int) -> Value:
 
 
 def _check(identity: IdentityId, variant: Variant, n: int,
-           lhs: Value, rhs: Value) -> VerificationReport:
+           lhs: Value, numerator: Union[int, Octonion], den: int) -> VerificationReport:
+    """The report of ``lhs`` against ``numerator`` over ``den``: it passes
+    when lhs*den - numerator is zero, which over ``den`` is its delta."""
+    scaled = lhs * den
     return VerificationReport(
         identity=identity,
         variant=variant,
         n=n,
-        passed=lhs == rhs,
+        passed=scaled == numerator,
         lhs=lhs,
-        rhs=rhs,
-        delta=lhs - rhs,
+        rhs=_rhs(numerator, den),
+        delta=_rhs(scaled - numerator, den),
     )
 
 
@@ -563,9 +558,9 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    ((_, terms),) = _term_lists(n, n)
-    sides = descriptor.sides(terms, n)
-    return _check(identity, variant, n, sides[0], _rhs(sides[column], descriptor.den))
+    ((_, j, l),) = _term_lists(n, n)
+    sides = descriptor.sides(j, l, n)
+    return _check(identity, variant, n, sides[0], sides[column], descriptor.den)
 
 
 def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
@@ -598,7 +593,7 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     chunks = parts * -(-length // (_CHUNK * parts))
     size = -(-length // chunks)
     tallies = [[0, *([] if keep else 0 for _ in variants)] for _, variants in targets]
-    for k, (indices, terms) in enumerate(_term_lists(n_from, n_to, size)):
+    for k, (indices, j, l) in enumerate(_term_lists(n_from, n_to, size)):
         if k % parts != part:
             continue
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):
@@ -607,12 +602,12 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
                 if not descriptor.in_domain(n):
                     continue
                 tally[0] += 1
-                sides = descriptor.sides(terms, n)
+                sides = descriptor.sides(j, l, n)
                 scaled = sides[0] * den if den > 1 else sides[0]
                 for i, column in enumerate(columns):
                     if scaled != sides[column]:
                         tally[1 + i] += ([keep(_check(identity, variants[i], n, sides[0],
-                                                      _rhs(sides[column], den)))]
+                                                      sides[column], den))]
                                          if keep else 1)
     return tallies
 

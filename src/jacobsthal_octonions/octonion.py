@@ -252,9 +252,7 @@ class ScaledOctonion:
             raise TypeError("numerator must be an Octonion")
         if type(denominator) is not int or denominator <= 0:
             raise ValueError(f"denominator must be a positive integer, got {denominator!r}")
-        g = denominator
-        for a in numerator.coefficients:
-            g = gcd(g, a)
+        g = gcd(denominator, *numerator.coefficients)
         if g > 1:
             numerator = _octonion(tuple([a // g for a in numerator.coefficients]))
             denominator //= g

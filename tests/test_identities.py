@@ -23,7 +23,6 @@ from jacobsthal_octonions.identities import (
     _ALPHA_EPS_ROWS,
     _CHUNK,
     _EPS_ALPHA_ROWS,
-    _Terms,
     _oct,
     _product,
     _term_lists,
@@ -195,8 +194,8 @@ def test_numerators_over_den_check_and_witness_as_the_rationals_do(identity):
     for n in (*range(41), 3000, random.Random(20).randrange(99000, 10 ** 5)):
         if not descriptor.in_domain(n):
             continue
-        ((_, t),) = _term_lists(n, n)
-        lhs, *numerators = descriptor.sides(t, n)
+        ((_, j, l),) = _term_lists(n, n)
+        lhs, *numerators = descriptor.sides(j, l, n)
         rationals = rational_right_sides(identity, n) if den > 1 else numerators
         for variant, numerator, rhs in zip(descriptor.variants, numerators, rationals):
             assert (lhs * den == numerator) is (lhs == rhs), (variant, n)
@@ -315,9 +314,9 @@ def test_range_builds_a_report_only_for_a_failing_index(monkeypatch):
     built = []
     check = identities._check
 
-    def counted(identity, variant, n, lhs, rhs):
+    def counted(identity, variant, n, lhs, numerator, den):
         built.append(n)
-        return check(identity, variant, n, lhs, rhs)
+        return check(identity, variant, n, lhs, numerator, den)
 
     monkeypatch.setattr(identities, "_check", counted)
     report = verify_range(IdentityId.T5_QUAD, CORRECTED, 3000, 3003)
@@ -587,8 +586,7 @@ def reference_ranges(identity, variants, n_from, n_to):
     kept when the delta is not zero.  A right side is its numerator over
     the row's ``den``, as a ``Fraction`` or ``ScaledOctonion`` unless
     ``den`` is 1."""
-    terms = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
-    t = _Terms(*terms)
+    j, l = [list(islice(seq_terms(kind), n_to + 11)) for kind in THIRD_ORDER_KINDS]
     descriptor = REGISTRY[identity]
     skipped, failures, checked = [], [[] for _ in variants], 0
     for n in range(n_from, n_to + 1):
@@ -596,7 +594,7 @@ def reference_ranges(identity, variants, n_from, n_to):
             skipped.append(n)
             continue
         checked += 1
-        sides = descriptor.sides(t, n)
+        sides = descriptor.sides(j, l, n)
         for variant, failed in zip(variants, failures):
             lhs, rhs = sides[0], sides[descriptor.variants.index(variant) + 1]
             if descriptor.den > 1:
@@ -643,11 +641,11 @@ def test_term_lists_hold_one_window(n_from, n_to):
     # Each chunk holds the terms n - 3 .. n + 10 of its indices and nothing
     # else, however far the range runs.
     seen = []
-    for indices, t in _term_lists(n_from, n_to):
+    for indices, j, l in _term_lists(n_from, n_to):
         seen += indices
         assert len(indices) <= _CHUNK
         window = range(max(indices[0] - 3, 0), indices[-1] + 11)
-        for kind, terms in zip(THIRD_ORDER_KINDS, (t.j, t.l)):
+        for kind, terms in zip(THIRD_ORDER_KINDS, (j, l)):
             assert [k for k, x in enumerate(terms) if x is not None] == list(window)
             assert terms[window[0]:window[-1] + 1] == list(
                 islice(seq_terms(kind, window[0]), len(window)))
@@ -662,8 +660,8 @@ def test_running_sums_by_powering_equal_the_literal_sum(kind):
     sides = REGISTRY[IdentityId.E10 if kind is THIRD_ORDER_KINDS[0] else IdentityId.E11].sides
 
     def running_sum(n):
-        ((_, t),) = _term_lists(n, n)
-        return sides(t, n)[0]
+        ((_, j, l),) = _term_lists(n, n)
+        return sides(j, l, n)[0]
 
     sums = list(accumulate(islice(seq_terms(kind), 400)))
     assert [running_sum(n) for n in range(400)] == sums

@@ -79,8 +79,8 @@ def test_the_closed_form_is_the_binet_rows_numerator_over_7(kind, row):
     for n in (*range(41), 3000, random.Random(21).randrange(99000, 10 ** 5)):
         numerator = _closed_numerator(kind, n)
         assert oct_seq_closed(kind, n) * 7 == numerator
-        ((_, t),) = _term_lists(n, n)
-        assert descriptor.sides(t, n)[1] == numerator
+        ((_, j, l),) = _term_lists(n, n)
+        assert descriptor.sides(j, l, n)[1] == numerator
 
 
 def test_a_remainder_in_either_closed_form_raises(monkeypatch):
