@@ -65,17 +65,28 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _say(line: str) -> None:
+    """Write one line to stderr, or drop it, as argparse drops its own
+    messages, where stderr is closed or cannot take it."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
+
+
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
     """Write the output, given as the strings it joins, to ``out`` or stdout.
 
     Stdout's bytes go to its buffer, when it has one, a piece at a time:
     a buffered write that the reader leaves midway returns the short count
     of what it wrote, which the text layer would drop, so a short count is
-    raised as the closed pipe it is."""
+    raised as the closed pipe it is, as is a stdout closed from the start."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
         return
+    if sys.stdout is None:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text stream, such as io.StringIO
         sys.stdout.writelines(pieces)
@@ -361,8 +372,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(_format_reports(reports, args.format), args.out)
     for r in reports:
         if not r["checked"]:
-            print(f"j3o: warning: {r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
-                  f"nothing checked, no index is in the identity's domain", file=sys.stderr)
+            _say(f"j3o: warning: {r['id']} {r['variant']} [{r['n_from']},{r['n_to']}]: "
+                 f"nothing checked, no index is in the identity's domain")
     return EXIT_DISCREPANCY if any(r["failures"] for r in reports) else EXIT_OK
 
 
@@ -431,18 +442,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (UsageError, DomainError) as exc:
-        print(f"j3o: error: {exc}", file=sys.stderr)
+        _say(f"j3o: error: {exc}")
         return EXIT_USAGE
     except BrokenPipeError:
         # What is left to flush goes nowhere (Python docs, "Note on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except Exception as exc:
-        print(f"j3o: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _say(f"j3o: error: {type(exc).__name__}: {exc}")
         return EXIT_ERROR
     except (KeyboardInterrupt, _Terminated) as exc:
         terminated = isinstance(exc, _Terminated)
-        print(f"j3o: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        _say(f"j3o: {'terminated' if terminated else 'interrupted'}")
         return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
 
 

@@ -847,6 +847,74 @@ def test_a_reader_that_stops_early_ends_one_large_write_with_141():
     assert process.returncode == 141
 
 
+def run_with_closed(redirect, argv):
+    """A request in a fresh interpreter started with stdout (``>&-``) or
+    stderr (``2>&-``) closed, as a shell closes them."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh",
+         sys.executable, "-m", "jacobsthal_octonions", *argv.split()],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+
+
+@pytest.mark.parametrize("argv", ["seq --kind j3 --to 3", "oct --kind JO --n 3", "mul-table",
+                                  "verify --all --to 300 --format csv",
+                                  "verify --all --variant both --to 300 --format json"])
+def test_a_stdout_closed_from_the_start_exits_141_with_nothing_on_stderr(argv):
+    result = run_with_closed(">&-", argv)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    ("verify --identity E5 --to 2", 0, "E5 printed [0,2]: checked=0 skipped=3 failures=0 ok\n"),
+    ("verify --identity E99 --to 2", 2, ""),
+    # argparse writes its usage to stdout when stderr is closed.
+    ("bogus", 2, None),
+])
+def test_a_closed_stderr_never_changes_the_exit_code(argv, code, out):
+    # Each request writes one line to stderr: a warning, or a usage error.
+    result = run_with_closed("2>&-", argv)
+    assert result.returncode == code
+    assert out is None or result.stdout == out
+
+
+def test_no_check_does_rational_arithmetic(capsys, monkeypatch):
+    # A check compares lhs*den with an integer numerator, and only builds
+    # the Fraction or ScaledOctonion values of a witness, so every request
+    # runs, in parts too, with their operators and comparisons raising.
+    argv = ["verify", "--all", "--variant", "both", "--to", "200"]
+    expected = verify_on(capsys, monkeypatch, 1, "json", *argv)
+
+    def forbidden(*args):
+        raise AssertionError("rational arithmetic")
+
+    for cls in (Fraction, ScaledOctonion):
+        for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                     "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                     "__abs__"):
+            monkeypatch.setattr(cls, name, forbidden, raising=False)
+    with pytest.raises(AssertionError, match="rational arithmetic"):
+        ScaledOctonion(Octonion.basis(1), 7) == Octonion.basis(1)
+    with pytest.raises(AssertionError, match="rational arithmetic"):
+        Fraction(1, 7) - 1
+    reports = identities.run_suite(set(Variant), 60)
+    assert [(r.identity.name, r.variant.value) for r in reports if r.failures] == [
+        ("T5_QUAD", "printed"), ("T6_QUAD", "printed")]
+    for identity, descriptor in identities.REGISTRY.items():
+        for variant in descriptor.variants:
+            for n in (3, 6, 3000):
+                report = identities.verify(identity, variant, n)
+                holds = variant is Variant.CORRECTED or identity.name[:2] not in ("T5", "T6")
+                assert report.passed is holds, (identity, variant, n)
+    code, out, err, forks = verify_on(capsys, monkeypatch, 2, "json", *argv)
+    assert (code, err, forks) == (expected[0], expected[2], 1) == (1, "", 1)
+    assert_same_text(out, expected[1])
+    assert_no_child_left()
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     def broken(kind, n):
         raise InconsistencyError("closed form left a remainder")

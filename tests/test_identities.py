@@ -111,6 +111,27 @@ def test_oct_rec_verifies_both_sequences():
     assert report.lhs == oct_seq(OctonionSequenceKind.JACOBSTHAL, 3)
 
 
+def test_oct_rec_reports_the_jo_pair_only_when_jo_alone_breaks():
+    # Term n + 9 is the last coefficient of X(n+2) and in no other
+    # octonion of the recurrence, so raising it by one breaks that
+    # sequence's recurrence by e7.  The first broken pair is reported, JO's
+    # before jO's, and JO's when both hold.
+    n = 5
+    j, l = [list(islice(seq_terms(kind), n + 11)) for kind in THIRD_ORDER_KINDS]
+    broken_j, broken_l = j.copy(), l.copy()
+    broken_j[n + 9] += 1
+    broken_l[n + 9] += 1
+    jo = oct_seq(OctonionSequenceKind.JACOBSTHAL, n + 2)
+    jol = oct_seq(OctonionSequenceKind.JACOBSTHAL_LUCAS, n + 2)
+    e7 = Octonion.basis(7)
+    sides = REGISTRY[IdentityId.OCT_REC].sides
+    assert sides(j, l, n) == (jo, jo)
+    assert sides(j, broken_l, n) == (jol + e7, jol)
+    assert sides(broken_j, l, n) == sides(broken_j, broken_l, n) == (jo + e7, jo)
+    report = identities._check(IdentityId.OCT_REC, PRINTED, n, *sides(j, broken_l, n), 1)
+    assert (report.passed, report.lhs, report.delta) == (False, jol + e7, e7)
+
+
 # --- the printed quadratic identities fail, their corrections pass --------
 
 
@@ -384,6 +405,41 @@ def test_a_tally_of_no_target_walks_nothing(monkeypatch):
     assert identities._tally([], 0, 10 ** 6) == []
     with pytest.raises(DomainError):
         identities._tally([], 0, 10 ** 6 + 1)
+
+
+class RecordingTerms(list):
+    """A list of terms that records every index it is read at, a slice's
+    as the range its bounds give, so a negative index reads as one."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.read = set()
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            assert key.step is None
+            self.read.update(range(key.start, key.stop))
+        else:
+            self.read.add(key)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        raise AssertionError("the terms were iterated")
+
+
+def test_every_side_reads_only_its_window_of_terms():
+    # _term_lists holds the terms n - 3 .. n + 10 of an index n, and the
+    # least index a row reads at its n_min is a term that exists.
+    for identity, descriptor in REGISTRY.items():
+        offsets = set()
+        for n in (descriptor.n_min, 3000):
+            assert descriptor.in_domain(n)
+            terms = [RecordingTerms(islice(seq_terms(kind), n + 40)) for kind in THIRD_ORDER_KINDS]
+            descriptor.sides(*terms, n)
+            read = terms[0].read | terms[1].read
+            assert read and read <= set(range(n - 3, n + 11)), (identity, n)
+            offsets |= {k - n for k in read}
+        assert descriptor.n_min + min(offsets) >= 0, identity
 
 
 def test_every_side_obeys_the_span_recurrence():

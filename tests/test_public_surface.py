@@ -3,6 +3,7 @@
 No module imports a name that it neither uses nor exports."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,22 @@ def test_every_public_name_resolves():
     for module in SUBMODULES:
         for name in module.__all__:
             assert getattr(jacobsthal_octonions, name) is getattr(module, name)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/tracer.py replaces each of its ENTRY_POINTS by a timed
+    # wrapper, looked up as vars(owner)[method]; a name removed from the
+    # package would break only the benchmark, so it is looked up here too.
+    path = PACKAGE_DIR.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.ENTRY_POINTS) == 5
+    for module, attributes in tracer.ENTRY_POINTS.items():
+        for attribute in attributes:
+            owner_name, _, method = attribute.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            assert callable(vars(owner).get(method)), f"{module.__name__}.{attribute}"
 
 
 def test_star_import_binds_every_public_name():
