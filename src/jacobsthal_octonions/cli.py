@@ -7,10 +7,11 @@ reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
 2 usage error (an index outside its domain included), 3 any other error
 (one ``j3o: error:`` line on stderr, no traceback), so a crash never reads
 as a failed identity; 130 on Ctrl-C and 143 on SIGTERM to a request in
-parts, with one stderr line, and 141, silently, once stdout's reader has
-gone.  Data goes to stdout (or ``--out``), diagnostics to stderr.  All
-numbers are emitted as decimal strings: coefficients outgrow 64-bit
-integers quickly, and strings round-trip losslessly through JSON and CSV.
+parts, with one stderr line, and 141, silently, once stdout is closed or
+its reader has gone.  Data goes to stdout (or ``--out``), diagnostics to
+stderr, unless it cannot take them (``_say``).  All numbers are emitted
+as decimal strings: coefficients outgrow 64-bit integers quickly, and
+strings round-trip losslessly through JSON and CSV.
 
 A ``verify`` runs on up to one process per CPU available to this one, each
 taking alternate chunks of the range (``_verified``): a part walks the
@@ -66,8 +67,7 @@ def _compact(obj) -> str:
 
 
 def _say(line: str) -> None:
-    """Write one line to stderr, or drop it, as argparse drops its own
-    messages, where stderr is closed or cannot take it."""
+    """Write a line to stderr; drop it, as argparse does, where stderr cannot take it."""
     try:
         sys.stderr.write(line + "\n")
     except (AttributeError, OSError):

@@ -408,8 +408,9 @@ def test_a_tally_of_no_target_walks_nothing(monkeypatch):
 
 
 class RecordingTerms(list):
-    """A list of terms that records every index it is read at, a slice's
-    as the range its bounds give, so a negative index reads as one."""
+    """A list of terms that records every index it is read at.  A slice
+    records the range of its own bounds, so one that starts below 0 is
+    seen as such, not wrapped round to the end of the list."""
 
     def __init__(self, terms):
         super().__init__(terms)
