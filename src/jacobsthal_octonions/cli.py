@@ -74,6 +74,10 @@ def _say(line: str) -> None:
         pass
 
 
+def _broken_pipe() -> BrokenPipeError:
+    return BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
     """Write the output, given as the strings it joins, to ``out`` or stdout.
 
@@ -86,7 +90,7 @@ def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
             handle.writelines(pieces)
         return
     if sys.stdout is None:
-        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        raise _broken_pipe()
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text stream, such as io.StringIO
         sys.stdout.writelines(pieces)
@@ -96,7 +100,7 @@ def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
     for piece in pieces:
         data = piece.encode(sys.stdout.encoding)
         if buffer.write(data) < len(data):
-            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+            raise _broken_pipe()
     buffer.flush()
 
 
@@ -318,10 +322,26 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
 _FAILURE_INDENT = " " * 6
 
 
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` with every line but the first
+    indented by ``indent``, for a failure's wire form or a part of it: an
+    int n, decimal strings, which need no escaping, and lists and dicts of
+    them, none empty."""
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return f'"{value}"'
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    items = [f'{inner}"{key}": {_json_text(item, inner)}' for key, item in value.items()]
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+
+
 def _json_failure(report: VerificationReport) -> tuple[int, str]:
     """A failure's n, and its text in the json output (``_format_reports``)."""
-    text = json.dumps(report.to_json(), indent=2)
-    return report.n, _FAILURE_INDENT + text.replace("\n", "\n" + _FAILURE_INDENT)
+    return report.n, _FAILURE_INDENT + _json_text(report.to_json(), _FAILURE_INDENT)
 
 
 def _plain_failure(report: VerificationReport) -> tuple[int, str]:
@@ -368,7 +388,10 @@ def _format_reports(reports: list[dict], fmt: str) -> Iterator[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     keep = {"csv": None, "json": _json_failure, "plain": _plain_failure}[args.format]
-    reports = _verified(_verify_targets(args), args.n_from, args.n_to, keep)
+    targets = _verify_targets(args)
+    if not args.out and sys.stdout is None:
+        raise _broken_pipe()  # closed from the start: stop before any work
+    reports = _verified(targets, args.n_from, args.n_to, keep)
     _emit(_format_reports(reports, args.format), args.out)
     for r in reports:
         if not r["checked"]:

@@ -175,12 +175,55 @@ class VerificationReport(NamedTuple):
     delta: Value
 
     def to_json(self) -> dict:
+        """``value_to_json`` of each value; an octonion witness writes its
+        values as ``_witness_json`` does."""
+        if isinstance(self.lhs, Octonion):
+            return {"n": self.n, **_witness_json(self.lhs, self.rhs, self.delta)}
         return {
             "n": self.n,
             "lhs": value_to_json(self.lhs),
             "rhs": value_to_json(self.rhs),
             "delta": value_to_json(self.delta),
         }
+
+
+def _fraction_of(value: Value) -> Optional[tuple[tuple[int, ...], int]]:
+    """An octonion value's numerator coefficients and denominator."""
+    if isinstance(value, ScaledOctonion):
+        return value.numerator.coefficients, value.denominator
+    return (value.coefficients, 1) if isinstance(value, Octonion) else None
+
+
+def _witness_json(lhs: Octonion, rhs: Value, delta: Value) -> dict:
+    """``value_to_json`` of lhs, rhs and delta.
+
+    lhs = rhs + delta holds for every report ``_check`` builds, so over
+    their one denominator the larger of rhs and delta has the numerator
+    lhs*den less the smaller's: exact decimal arithmetic derives its text
+    from the other two in linear time, where converting an int takes
+    quadratic time.  The identity is first confirmed in integers, so a
+    report built by hand that does not add up has each value converted."""
+    powers: dict[int, int] = {}
+    lhs_text = [_decimal_str(a, powers) for a in lhs.coefficients]
+    r, d = _fraction_of(rhs), _fraction_of(delta)
+    if (r is None or d is None or r[1] != d[1]
+            or any(a * r[1] != b + c for a, b, c in zip(lhs.coefficients, r[0], d[0]))):
+        return {"lhs": lhs_text, "rhs": value_to_json(rhs), "delta": value_to_json(delta)}
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                         InvalidOperation, Rounded)
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded, InvalidOperation])
+    den = r[1]
+    rhs_smaller = sum(map(int.bit_length, r[0])) < sum(map(int.bit_length, d[0]))
+    small = [_decimal_str(b, powers) for b in (r if rhs_smaller else d)[0]]
+    large = [str(exact.subtract(exact.multiply(Decimal(a), den), Decimal(b)))
+             for a, b in zip(lhs_text, small)]
+    rhs_text, delta_text = (small, large) if rhs_smaller else (large, small)
+    if den > 1:
+        den_text = _decimal_str(den)
+        rhs_text, delta_text = ({"num": text, "den": den_text} for text in (rhs_text, delta_text))
+    return {"lhs": lhs_text, "rhs": rhs_text, "delta": delta_text}
 
 
 class RangeReport(NamedTuple):

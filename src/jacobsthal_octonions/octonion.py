@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from math import gcd
 from operator import add, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "SignedBasis",
@@ -78,24 +78,37 @@ _PRODUCT_TERMS = tuple(
 )
 
 
-def _decimal_str(x: int) -> str:
+# The most bits ``_decimal_str`` hands to ``str()``: at most 603 digits,
+# under 640, the lowest digit limit CPython allows (4,300 by default).
+_SPLIT_BITS = 2000
+
+
+def _decimal_str(x: int, powers: Optional[dict[int, int]] = None) -> str:
     """``str(x)`` for an int of any size.
 
-    CPython refuses ``str()`` on an int with more digits than its limit
-    (``sys.get_int_max_str_digits()``, 4,300 by default).  Such an x is split
-    by a power of ten into two halves, each written the same way, so the
-    process-wide limit is never changed.  Values within the limit cost one
-    ``str()`` call.
+    An x of more than ``_SPLIT_BITS`` bits is split by 10**k into two
+    halves, each written the same way, so ``str()`` never meets CPython's
+    digit limit, which is never changed, and the split costs less than the
+    quadratic ``str()`` of the whole.  k is 301 digits, doubled while
+    10**(2k) is surely below x, so the halves are near even and values of
+    like size split at the same k: ``powers`` keeps the powers of ten, for
+    a caller that converts several values (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 2010, section 1.7).
     """
-    try:
+    if x.bit_length() <= _SPLIT_BITS:
         return str(x)
-    except ValueError:
-        pass
     if x < 0:
-        return "-" + _decimal_str(-x)
-    k = x.bit_length() * 3 // 20  # about half of x's decimal digits
-    high, low = divmod(x, 10 ** k)
-    return _decimal_str(high) + _decimal_str(low).zfill(k)
+        return "-" + _decimal_str(-x, powers)
+    if powers is None:
+        powers = {}
+    k = 301
+    # 6.65 exceeds 2*log2(10), so 10**(2k) < 2**(bits - 1) <= x.
+    while 665 * k <= 100 * (x.bit_length() - 1):
+        k *= 2
+    if k not in powers:
+        powers[k] = 10 ** k
+    high, low = divmod(x, powers[k])
+    return _decimal_str(high, powers) + _decimal_str(low, powers).zfill(k)
 
 
 def _decimal_int(s: str) -> int:
@@ -227,7 +240,8 @@ class Octonion:
 
     def to_json(self) -> list[str]:
         """Wire form: a list of 8 decimal strings, index s = basis e_s."""
-        return [_decimal_str(a) for a in self._c]
+        powers: dict[int, int] = {}
+        return [_decimal_str(a, powers) for a in self._c]
 
 
 def _octonion(c: tuple[int, ...]) -> Octonion:

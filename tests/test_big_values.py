@@ -15,7 +15,8 @@ from contextlib import contextmanager
 import pytest
 
 from jacobsthal_octonions.cli import main
-from jacobsthal_octonions.octonion import Octonion, ScaledOctonion, _decimal_int, _decimal_str
+from jacobsthal_octonions.octonion import (_SPLIT_BITS, Octonion, ScaledOctonion, _decimal_int,
+                                          _decimal_str)
 from jacobsthal_octonions.octonion_sequences import OctonionSequenceKind, oct_seq
 from jacobsthal_octonions.sequences import SequenceKind, seq_closed
 
@@ -54,6 +55,44 @@ def test_decimal_str_matches_str(limit):
         expected = [str(x) for x in values]
     with digit_limit(limit):
         assert [_decimal_str(x) for x in values] == expected
+
+
+def _split_values():
+    """Values at the edges of ``_decimal_str``'s split rule."""
+    rng = random.Random(2000)
+    values = []
+    for bits in (_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1):
+        values += [2 ** (bits - 1), 2 ** bits - 1, rng.getrandbits(bits) | (1 << (bits - 1))]
+    k = 301
+    while 2 * k < 50_000:
+        # Powers of ten at each split size and their neighbours, and values
+        # whose low half is zero or nearly so (the zfill case).
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1, 10 ** (2 * k) - 1, 10 ** (2 * k),
+                   10 ** (2 * k) + 1, 7 * 10 ** (2 * k) + 3, (10 ** k + 1) * 10 ** k]
+        k *= 2
+    for digits in (*rng.sample(range(600, 20_000), 6), 99_999):
+        values.append(rng.randrange(10 ** (digits - 1), 10 ** digits))
+    return values
+
+
+@pytest.fixture(scope="module")
+def split_values():
+    values = _split_values()
+    with digit_limit(0):
+        return values, [str(x) for x in values]
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_decimal_str_splits_exactly_at_every_size(split_values, limit):
+    values, expected = split_values
+    with digit_limit(limit):
+        assert [_decimal_str(x) for x in values] == expected
+        # Powers of ten shared across values of every size change nothing.
+        powers = {}
+        assert [_decimal_str(-x, powers) for x in values] == ["-" + e for e in expected]
+    assert powers and all(p == 10 ** k for k, p in powers.items())
+    # Up to the split size one str() call writes the value, under any limit.
+    assert len(str(2 ** _SPLIT_BITS - 1)) <= 640
 
 
 @pytest.mark.parametrize("limit", [640, 4300])

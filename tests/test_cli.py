@@ -866,6 +866,24 @@ def test_a_stdout_closed_from_the_start_exits_141_with_nothing_on_stderr(argv):
     assert (result.returncode, result.stderr) == (141, "")
 
 
+def test_a_stdout_closed_from_the_start_stops_before_any_work(monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated or forked")
+
+    argv = ["verify", "--identity", "T5_QUAD", "--variant", "both", "--from", "3000",
+            "--to", "3300", "--format", "json"]
+    monkeypatch.setattr(identities, "_tally", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == cli.EXIT_BROKEN_PIPE == 141
+    # --out still writes, with stdout closed.
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "stdout", None)
+    target = tmp_path / "out.json"
+    assert cli.main([*argv[:7], "--to", "3001", "--format", "json", "--out", str(target)]) == 1
+    assert json.loads(target.read_text(encoding="utf-8"))[0]["failures"][0]["n"] == 3000
+
+
 @pytest.mark.parametrize("argv, code, out", [
     ("verify --identity E5 --to 2", 0, "E5 printed [0,2]: checked=0 skipped=3 failures=0 ok\n"),
     ("verify --identity E99 --to 2", 2, ""),

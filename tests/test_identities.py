@@ -533,6 +533,114 @@ def test_value_serialization_refuses_a_bool(value):
         value_to_json(value)
 
 
+# --- octonion witnesses: the larger of rhs and delta derived ------------------
+
+def lhs_at_n_min(identity):
+    descriptor = REGISTRY[identity]
+    n = next(n for n in range(descriptor.n_min, descriptor.n_min + 3) if descriptor.in_domain(n))
+    ((_, j, l),) = _term_lists(n, n)
+    return descriptor.sides(j, l, n)[0]
+
+
+OCTONION_ROWS = [identity for identity in IdentityId
+                 if isinstance(lhs_at_n_min(identity), Octonion)]
+
+
+def wire(report):
+    """A report's wire form built from ``value_to_json`` of each value."""
+    return {"n": report.n, "lhs": value_to_json(report.lhs),
+            "rhs": value_to_json(report.rhs), "delta": value_to_json(report.delta)}
+
+
+def numerator_bits(value):
+    num = value.numerator if isinstance(value, ScaledOctonion) else value
+    return sum(abs(c).bit_length() for c in num)
+
+
+def perturbed_witnesses(identity, n):
+    """Reports of ``identity`` at n against numerators moved off the true
+    one: a little (rhs the larger), to a small octonion with zero and
+    negative coefficients (delta the larger), to den times that (both
+    reduce to den 1), and to lhs*den but for one coefficient (a delta with
+    seven zero coefficients)."""
+    descriptor = REGISTRY[identity]
+    ((_, j, l),) = _term_lists(n, n)
+    lhs, numerator, *_ = descriptor.sides(j, l, n)
+    den = descriptor.den
+    small = Octonion((3, -1, 0, 4, -1, 0, 5, -9))
+    for moved in (numerator + small, small, small * den, lhs * den - Octonion.basis(n % 8)):
+        yield identities._check(identity, PRINTED, n, lhs, moved, den)
+
+
+@pytest.mark.parametrize("identity", OCTONION_ROWS, ids=lambda i: i.name)
+def test_an_octonion_witness_is_written_as_each_value_would_be(identity):
+    descriptor = REGISTRY[identity]
+    larger = set()
+    for n in (*range(41), 3000):
+        if not descriptor.in_domain(n):
+            continue
+        for report in perturbed_witnesses(identity, n):
+            assert isinstance(report.lhs, Octonion)
+            assert report.to_json() == wire(report), (n, report.rhs)
+            larger.add("rhs" if numerator_bits(report.rhs) > numerator_bits(report.delta)
+                       else "delta")
+            integral = [isinstance(v, Octonion) or v.is_integral()
+                        for v in (report.rhs, report.delta)]
+            assert integral[0] == integral[1]
+    assert larger == {"rhs", "delta"}
+
+
+def test_a_witness_derived_past_the_digit_limit_is_exact():
+    rng = random.Random(4301)
+    lhs = Octonion(tuple(rng.randint(-10 ** 5000, 10 ** 5000) for _ in range(8)))
+    for numerator in (lhs * 49 + Octonion(tuple(rng.randint(-10 ** 2500, 10 ** 2500)
+                                                for _ in range(8))),
+                      Octonion(tuple(rng.randint(-10 ** 4400, 10 ** 4400) for _ in range(8)))):
+        report = identities._check(IdentityId.T5_QUAD, PRINTED, 3000, lhs, numerator, 49)
+        assert max(numerator_bits(report.rhs), numerator_bits(report.delta)) > 14300 * 8
+        assert report.to_json() == wire(report)
+
+
+def test_a_witness_that_does_not_add_up_is_written_as_stored():
+    # A report built by hand need not satisfy lhs = rhs + delta: its values
+    # are then each converted, so what it holds is what it shows.
+    ((_, j, l),) = _term_lists(3000, 3000)
+    lhs, numerator, _ = REGISTRY[IdentityId.T5_QUAD].sides(j, l, 3000)
+    report = identities._check(IdentityId.T5_QUAD, PRINTED, 3000, lhs, numerator, 49)
+    one = Octonion.basis(3)
+    wrong = [
+        report._replace(delta=ScaledOctonion(report.delta.numerator + one, 49)),
+        report._replace(rhs=ScaledOctonion(report.rhs.numerator - one, 49)),
+        # over two denominators
+        report._replace(rhs=report.rhs.numerator),
+        report._replace(delta=lhs - report.rhs.numerator),
+        report._replace(delta=5),
+    ]
+    for bad in wrong:
+        assert bad.to_json() == wire(bad)
+    assert wrong[0].to_json()["delta"] != report.to_json()["delta"]
+
+
+def test_an_octonion_witness_converts_only_lhs_and_the_smaller_side(monkeypatch):
+    converted = []
+    decimal_str = identities._decimal_str
+
+    def recording(x, powers=None):
+        converted.append(x)
+        return decimal_str(x, powers)
+
+    monkeypatch.setattr(identities, "_decimal_str", recording)
+    for identity in (IdentityId.T5_QUAD, IdentityId.T6_QUAD):
+        report = verify(identity, PRINTED, 3000)
+        smaller = min(report.rhs, report.delta, key=numerator_bits)
+        converted.clear()
+        text = report.to_json()
+        # Both are ScaledOctonions; T6's are integral there.
+        den = [smaller.denominator] if smaller.denominator > 1 else []
+        assert converted == [*report.lhs, *smaller.numerator, *den]
+        assert text == wire(report)
+
+
 @pytest.mark.parametrize("record, field", [
     (verify(IdentityId.T6_QUAD, PRINTED, 1), "passed"),
     (verify_range(IdentityId.T6_QUAD, PRINTED, 0, 3), "failures"),

@@ -2,10 +2,10 @@
 
 A ``j3o`` request is one process, so start-up is part of its cost: the
 package leaves ``dataclasses`` (and ``inspect`` behind it) unimported, only
-the requests that verify load ``identities``, and only a rational witness
-loads ``fractions``.  Only modules that the package controls are asserted:
-which standard modules the interpreter itself preloads differs between
-Python versions.
+the requests that verify load ``identities``, only a rational witness
+loads ``fractions``, and only an octonion witness ``decimal``.  Only
+modules that the package controls are asserted: which standard modules
+the interpreter itself preloads differs between Python versions.
 """
 
 import os
@@ -58,6 +58,16 @@ def test_verify_loads_the_identity_table():
             "assert cli.main(['verify', '--identity', 'E4', '--to', '5']) == 0")
     assert loaded_after(code, IDENTITIES, "dataclasses", "fractions", "decimal") == {
         IDENTITIES: True, "dataclasses": False, "fractions": False, "decimal": False}
+
+
+@pytest.mark.parametrize("fmt, loads", [("csv", False), ("json", True)])
+def test_only_an_octonion_witness_loads_decimal(fmt, loads):
+    # A json witness writes the larger of rhs and delta by exact decimal
+    # arithmetic; csv writes counts only.
+    code = ("from jacobsthal_octonions import cli\n"
+            "assert cli.main(['verify', '--identity', 'T5_QUAD', '--to', '5', "
+            f"'--format', '{fmt}']) == 1")
+    assert loaded_after(code, "decimal") == {"decimal": loads}
 
 
 @pytest.mark.parametrize("statement", [

@@ -86,6 +86,20 @@ TRANSCRIPTS = [
     ("verify --identity E4 --from 5 --to 4", 2, 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "j3o: error: need 0 <= from <= to, got [5, 4]\n"),
+    # The two witness windows, pinned later than the rest: T5_QUAD and
+    # T6_QUAD fail as printed at every index, each with ~1,800-digit values.
+    ("verify --identity T5_QUAD --variant both --from 3000 --to 3300 --format json", 1, 11630109,
+     "9f27106017328941357869dd074a27bdc14b378cddf7bfaf16beaf2045ab23f3",
+     ""),
+    ("verify --identity T5_QUAD --variant both --from 3000 --to 3300 --format plain", 1, 11492977,
+     "8110243ee52678d39c726b970f66b29ed8f84e2befb5b2726429a07f86917fd3",
+     ""),
+    ("verify --identity T6_QUAD --variant both --from 3000 --to 3300 --format json", 1, 11602069,
+     "fb901138afb7430739b26b2a863e5e58f63d0d98a382b9bf5645abd91c66892d",
+     ""),
+    ("verify --identity T6_QUAD --variant both --from 3000 --to 3300 --format plain", 1, 11475239,
+     "a80174323036bbb927a19e8bb3e79366150daa4a3937bf9b90981a690ce036df",
+     ""),
 ]
 
 
