@@ -19,7 +19,8 @@ terms once for every row of the request and tallies their checks and
 failures (``identities._tally``).  For json and plain a part also renders
 each failure it finds as the text the output holds (``_json_failure``,
 ``_plain_failure``), so the costly decimal conversion and formatting are
-shared too; csv only counts.  A child sends its result through a pipe in
+shared too, and its one ``identities._witness_writer`` derives most
+witnesses from earlier ones; csv only counts.  A child sends its result through a pipe in
 ``marshal`` form.  This process puts the failures in order of n, formats
 the report headers and splices the texts in (``_format_reports``), so it
 copies them but never parses or encodes them again.  The output is that
@@ -258,11 +259,13 @@ def _terminated(signum: int, frame) -> None:
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
-              keep: Optional[Callable[[VerificationReport], tuple[int, str]]]) -> list[dict]:
+              keep: Optional[Callable[[VerificationReport, Callable[[VerificationReport], dict]],
+                                      tuple[int, str]]]) -> list[dict]:
     """The report of each variant of ``targets`` over [n_from, n_to] in
     wire form (``identities._range_json``), its failures as ``_tally``
-    gives them: counted, or, with ``keep``, the text it renders of each, in
-    order of n.
+    gives them: counted, or, with ``keep``, the text it renders of each
+    from the wire form that its part's ``identities._witness_writer``
+    writes, in order of n.
 
     The range's chunks, a multiple of P of nearly equal size (``_tally``),
     are dealt out to P = ``_parts`` processes: this one takes chunks 0, P,
@@ -276,7 +279,7 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     any error here, Ctrl-C and SIGTERM included, the children are killed,
     and every child is reaped.  (A child does not watch for its parent's
     end: one whose parent is killed by SIGKILL runs on to its part's end.)"""
-    from .identities import _CHUNK, _range_json, _skipped, _tally
+    from .identities import _CHUNK, _range_json, _skipped, _tally, _witness_writer
 
     # Every part's walk checks the bound too; checking it here forks nothing
     # for a request that is refused.
@@ -284,7 +287,10 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     parts = _parts(len(range(n_from, n_to + 1, _CHUNK)))
 
     def part_results(part: int) -> list[list]:
-        return _tally(targets, n_from, n_to, part, parts, keep)
+        # One writer per part, made here, so a forked child's starts empty.
+        write = _witness_writer()
+        return _tally(targets, n_from, n_to, part, parts,
+                      keep and (lambda report: keep(report, write)))
 
     children: list[tuple[int, IO[bytes]]] = []
     if parts > 1:
@@ -339,14 +345,22 @@ def _json_text(value, indent: str) -> str:
     return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
-def _json_failure(report: VerificationReport) -> tuple[int, str]:
-    """A failure's n, and its text in the json output (``_format_reports``)."""
-    return report.n, _FAILURE_INDENT + _json_text(report.to_json(), _FAILURE_INDENT)
+def _json_failure(report: VerificationReport,
+                  write: Optional[Callable[[VerificationReport], dict]] = None
+                  ) -> tuple[int, str]:
+    """A failure's n, and its text in the json output (``_format_reports``):
+    its wire form as ``write``, a request's ``identities._witness_writer``,
+    writes it, or as ``report.to_json`` does on its own."""
+    wire = write(report) if write else report.to_json()
+    return report.n, _FAILURE_INDENT + _json_text(wire, _FAILURE_INDENT)
 
 
-def _plain_failure(report: VerificationReport) -> tuple[int, str]:
-    """A failure's n, and its line in the plain output."""
-    f = report.to_json()
+def _plain_failure(report: VerificationReport,
+                   write: Optional[Callable[[VerificationReport], dict]] = None
+                   ) -> tuple[int, str]:
+    """A failure's n, and its line in the plain output, written as
+    ``_json_failure`` writes its wire form."""
+    f = write(report) if write else report.to_json()
     return report.n, (f"  n={f['n']} lhs={_compact(f['lhs'])} "
                       f"rhs={_compact(f['rhs'])} delta={_compact(f['delta'])}\n")
 
@@ -400,6 +414,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_DISCREPANCY if any(r["failures"] for r in reports) else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, its subcommands' too, whose usage errors go
+    through ``_say``: argparse would write its usage to stdout when stderr
+    is closed."""
+
+    def error(self, message: str):
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "plain"),
                         default="plain", help="output format (default: plain)")
@@ -408,7 +432,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="j3o",
         description="Exact third-order Jacobsthal octonion sequences and "
                     "identity verification.",

@@ -68,6 +68,7 @@ from .sequences import (
 __all__ = list(_IDENTITIES_ALL)
 
 if TYPE_CHECKING:
+    from decimal import Context, Decimal
     from fractions import Fraction
 
 # A verified value is an exact integer, an exact rational scalar, or an
@@ -176,15 +177,33 @@ class VerificationReport(NamedTuple):
 
     def to_json(self) -> dict:
         """``value_to_json`` of each value; an octonion witness writes its
-        values as ``_witness_json`` does."""
+        values as ``_witness_json`` does, on its own."""
         if isinstance(self.lhs, Octonion):
-            return {"n": self.n, **_witness_json(self.lhs, self.rhs, self.delta)}
+            return {"n": self.n, **_witness_json(self.lhs, self.rhs, self.delta, self.n, {})}
         return {
             "n": self.n,
             "lhs": value_to_json(self.lhs),
             "rhs": value_to_json(self.rhs),
             "delta": value_to_json(self.delta),
         }
+
+
+def _witness_writer() -> Callable[[VerificationReport], dict]:
+    """A writer of ``VerificationReport.to_json`` for the failures of one
+    request, given in order of n.  It keeps, for each stream of octonion
+    witnesses (one identity and variant), the values it wrote at the last
+    9 indices, from which ``_witness_json`` derives later ones: it holds
+    O(n) bits at index n, and a new writer starts empty."""
+    streams: dict[tuple[IdentityId, Variant], dict] = {}
+
+    def write(report: VerificationReport) -> dict:
+        if not isinstance(report.lhs, Octonion):
+            return report.to_json()
+        earlier = streams.setdefault((report.identity, report.variant), {})
+        return {"n": report.n,
+                **_witness_json(report.lhs, report.rhs, report.delta, report.n, earlier)}
+
+    return write
 
 
 def _fraction_of(value: Value) -> Optional[tuple[tuple[int, ...], int]]:
@@ -194,36 +213,68 @@ def _fraction_of(value: Value) -> Optional[tuple[tuple[int, ...], int]]:
     return (value.coefficients, 1) if isinstance(value, Octonion) else None
 
 
-def _witness_json(lhs: Octonion, rhs: Value, delta: Value) -> dict:
-    """``value_to_json`` of lhs, rhs and delta.
+def _witness_json(lhs: Octonion, rhs: Value, delta: Value, n: int, earlier: dict) -> dict:
+    """``value_to_json`` of lhs, rhs and delta, the witness at n.
 
     lhs = rhs + delta holds for every report ``_check`` builds, so over
     their one denominator the larger of rhs and delta has the numerator
-    lhs*den less the smaller's: exact decimal arithmetic derives its text
-    from the other two in linear time, where converting an int takes
-    quadratic time.  The identity is first confirmed in integers, so a
-    report built by hand that does not add up has each value converted."""
-    powers: dict[int, int] = {}
-    lhs_text = [_decimal_str(a, powers) for a in lhs.coefficients]
+    lhs*den less the smaller's: exact decimal arithmetic derives it from
+    the other two in linear time, where converting an int takes quadratic
+    time.  lhs and the smaller are derived too, where ``earlier`` holds
+    their values at n - 3, n - 6 and n - 9 (``_span_decimals``).  The
+    identity is first confirmed in integers, so a report built by hand
+    that does not add up has each value converted."""
     r, d = _fraction_of(rhs), _fraction_of(delta)
+    powers: dict[int, int] = {}
     if (r is None or d is None or r[1] != d[1]
             or any(a * r[1] != b + c for a, b, c in zip(lhs.coefficients, r[0], d[0]))):
-        return {"lhs": lhs_text, "rhs": value_to_json(rhs), "delta": value_to_json(delta)}
-    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                         InvalidOperation, Rounded)
+        return {"lhs": [_decimal_str(a, powers) for a in lhs.coefficients],
+                "rhs": value_to_json(rhs), "delta": value_to_json(delta)}
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation, Rounded
 
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                     traps=[Inexact, Rounded, InvalidOperation])
     den = r[1]
     rhs_smaller = sum(map(int.bit_length, r[0])) < sum(map(int.bit_length, d[0]))
-    small = [_decimal_str(b, powers) for b in (r if rhs_smaller else d)[0]]
-    large = [str(exact.subtract(exact.multiply(Decimal(a), den), Decimal(b)))
-             for a, b in zip(lhs_text, small)]
+    values = [_span_decimals(exact, powers, earlier, n, "lhs", lhs.coefficients),
+              _span_decimals(exact, powers, earlier, n, (rhs_smaller, den),
+                             (r if rhs_smaller else d)[0])]
+    for key in [key for key in earlier if not n - 9 < key[1] <= n]:
+        del earlier[key]
+    values.append([exact.subtract(exact.multiply(a, den), b) for a, b in zip(*values)])
+    lhs_text, small, large = ([str(x) for x in value] for value in values)
     rhs_text, delta_text = (small, large) if rhs_smaller else (large, small)
     if den > 1:
         den_text = _decimal_str(den)
         rhs_text, delta_text = ({"num": text, "den": den_text} for text in (rhs_text, delta_text))
     return {"lhs": lhs_text, "rhs": rhs_text, "delta": delta_text}
+
+
+def _span_decimals(exact: Context, powers: dict[int, int], earlier: dict, n: int, tag: object,
+                   coefficients: tuple[int, ...]) -> list[Decimal]:
+    """The ``Decimal``s of ``coefficients``, the value ``tag`` of a witness
+    at n, which ``earlier`` then keeps under (tag, n).
+
+    Every side of every row obeys x(n) = 73 x(n-3) - 584 x(n-6) + 512
+    x(n-9) coefficient by coefficient (C-finite closure: Kauers and Paule,
+    *The Concrete Tetrahedron*, 2011, ch. 4).  Where ``earlier`` holds the
+    value's ints and ``Decimal``s at those three indices, under the same
+    tag, and its ints obey the recurrence, which costs small
+    multiplications, its ``Decimal``s are the same sum of theirs, exact in
+    the context ``exact``, which traps any rounding: linear time.  Any
+    other value, a stream's first 9 indices after a gap or a change of
+    tag among them, is converted.  So every value is exact, by induction."""
+    back = [earlier.get((tag, n - step)) for step in (3, 6, 9)]
+    if None not in back and all(
+            x == 73 * a - 584 * b + 512 * c
+            for x, a, b, c in zip(coefficients, *(ints for ints, _ in back))):
+        decimals = [exact.add(exact.subtract(exact.multiply(a, 73), exact.multiply(b, 584)),
+                              exact.multiply(c, 512))
+                    for a, b, c in zip(*(decimals for _, decimals in back))]
+    else:
+        decimals = [exact.create_decimal(_decimal_str(x, powers)) for x in coefficients]
+    earlier[tag, n] = coefficients, decimals
+    return decimals
 
 
 class RangeReport(NamedTuple):
@@ -243,9 +294,11 @@ class RangeReport(NamedTuple):
         return not self.failures
 
     def to_json(self) -> dict:
+        """The wire form; each failure's is ``VerificationReport.to_json``."""
+        write = _witness_writer()
         return _range_json(self.identity, self.variant, self.n_from, self.n_to,
                            self.total_checked, self.skipped,
-                           [f.to_json() for f in self.failures])
+                           [write(f) for f in self.failures])
 
 
 def _range_json(identity: IdentityId, variant: Variant, n_from: int, n_to: int,

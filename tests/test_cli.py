@@ -887,8 +887,9 @@ def test_a_stdout_closed_from_the_start_stops_before_any_work(monkeypatch, tmp_p
 @pytest.mark.parametrize("argv, code, out", [
     ("verify --identity E5 --to 2", 0, "E5 printed [0,2]: checked=0 skipped=3 failures=0 ok\n"),
     ("verify --identity E99 --to 2", 2, ""),
-    # argparse writes its usage to stdout when stderr is closed.
-    ("bogus", 2, None),
+    # A usage error writes nothing to stdout when stderr is closed.
+    ("bogus", 2, ""),
+    ("verify --identity T5_QUAD --to 3 --variant nope", 2, ""),
 ])
 def test_a_closed_stderr_never_changes_the_exit_code(argv, code, out):
     # Each request writes one line to stderr: a warning, or a usage error.

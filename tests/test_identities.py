@@ -1,5 +1,7 @@
 import copy
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate, islice
 
@@ -639,6 +641,130 @@ def test_an_octonion_witness_converts_only_lhs_and_the_smaller_side(monkeypatch)
         den = [smaller.denominator] if smaller.denominator > 1 else []
         assert converted == [*report.lhs, *smaller.numerator, *den]
         assert text == wire(report)
+
+
+# --- octonion witnesses: derived along the span recurrence ------------------
+
+QUAD_ROWS = [IdentityId.T5_QUAD, IdentityId.T6_QUAD]
+# Near 10**4 a T5 or T6 witness's values pass 4,300 digits.
+DEEP = random.Random(26).randrange(9500, 10500)
+SPAN_RANGES = [(0, 80), (2990, 3030), (DEEP, DEEP + 29)]
+
+
+def recording_conversions(monkeypatch):
+    """The ints ``identities._decimal_str`` converts from now on."""
+    converted = []
+    decimal_str = identities._decimal_str
+
+    def recording(x, powers=None):
+        converted.append(x)
+        return decimal_str(x, powers)
+
+    monkeypatch.setattr(identities, "_decimal_str", recording)
+    return converted
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+@pytest.mark.parametrize("identity", QUAD_ROWS, ids=lambda i: i.name)
+def test_a_range_writes_each_witness_as_it_is_written_on_its_own(identity, limit):
+    # A range's writer derives a witness from those 3, 6 and 9 indices
+    # back; each one's is what it writes on its own, under the lowest
+    # digit limit CPython allows too.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if limit is not None and set_limit is None:
+        pytest.skip("no int-to-str digit limit before CPython 3.11")
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        if limit is not None:
+            set_limit(limit)
+        for n_from, n_to in SPAN_RANGES:
+            report = verify_range(identity, PRINTED, n_from, n_to)
+            failures = report.to_json()["failures"]
+            assert failures == [f.to_json() for f in report.failures], (n_from, n_to)
+            assert len(failures) >= n_to - n_from
+        assert max(len(text) for text in failures[-1]["lhs"]) > 4300
+    finally:
+        if limit is not None:
+            set_limit(old)
+
+
+def on_span(n, *scales):
+    """An octonion of n on the span recurrence: each coefficient a sum of
+    ``scales`` times 1, 2**n and 4**n, zero and negative ones included."""
+    return Octonion(tuple(a + b * 2 ** n + c * 4 ** n for a, b, c in scales))
+
+
+SPAN_COEFFICIENTS = [(0, 0, 0), (-1, 0, 0), (5, -1, 0), (0, 0, -1),
+                     (0, 1, -1), (7, 0, 3), (0, 0, 0), (-3, 2, 1)]
+
+
+def synthetic(n, den=49, numerator_scales=SPAN_COEFFICIENTS[::-1]):
+    """A report of T5_QUAD at n whose values are on the span recurrence,
+    with zero and negative coefficients; delta is the smaller."""
+    lhs = on_span(n, *((4 * a, 5 * b, 3 * c) for a, b, c in SPAN_COEFFICIENTS))
+    return identities._check(IdentityId.T5_QUAD, PRINTED, n, lhs,
+                             lhs * den - on_span(n, *numerator_scales), den)
+
+
+def stream_cases():
+    t5 = [verify(IdentityId.T5_QUAD, PRINTED, n) for n in range(3000, 3031)]
+    t6 = [verify(IdentityId.T6_QUAD, PRINTED, n) for n in range(3000, 3031)]
+    one = Octonion.basis(2)
+    off = t5[15]
+    yield "gapped n, and n going back", [*t5[:9], *t5[10:14], *t5[17:], *t5[3:12]]
+    yield "a den change", [*(synthetic(n) for n in range(40, 55)),
+                           *(synthetic(n, den=7) for n in range(55, 70)),
+                           *(synthetic(n) for n in range(70, 85))]
+    yield "a report off the recurrence", [
+        *t5[:15],
+        identities._check(IdentityId.T5_QUAD, PRINTED, off.n, off.lhs + one,
+                          off.rhs.numerator, 49),
+        *t5[16:21],
+        off._replace(lhs=off.lhs + one, delta=off.delta + one),
+        *t5[21:]]
+    yield "zero and negative coefficients", [synthetic(n) for n in range(0, 40)]
+    # The smaller is delta up to 3015, then rhs: its numerator is delta's.
+    yield "a flip of the smaller side", [
+        *t5[:16], *(identities._check(r.identity, r.variant, r.n, r.lhs, r.delta.numerator, 49)
+                    for r in t5[16:])]
+    yield "two streams", [r for pair in zip(t5, t6) for r in pair]
+
+
+@pytest.mark.parametrize("case, reports", list(stream_cases()),
+                         ids=[case for case, _ in stream_cases()])
+def test_a_writer_writes_each_witness_as_it_is_written_on_its_own(monkeypatch, case, reports):
+    alone = [r.to_json() for r in reports]
+    converted = recording_conversions(monkeypatch)
+    write = identities._witness_writer()
+    assert [write(r) for r in reports] == alone
+    # Some values were derived, not converted.
+    assert len(converted) < sum(16 + (r.rhs.denominator > 1) for r in reports)
+
+
+def test_a_writer_derives_a_stream_past_its_first_9_indices(monkeypatch):
+    reports = [synthetic(n) for n in range(100, 140)]
+    alone = [r.to_json() for r in reports]
+    converted = recording_conversions(monkeypatch)
+    write = identities._witness_writer()
+    assert [write(r) for r in reports] == alone
+    # lhs, the smaller side and den at each of the first 9; den after.
+    seeds = [x for r in reports[:9] for x in (*r.lhs, *r.delta.numerator, 49)]
+    assert converted == seeds + [49] * 31
+
+
+def test_a_json_window_in_one_part_converts_only_its_first_9_indices(capsys, monkeypatch):
+    # One part walks the window's chunks in order, so only the stream's
+    # first 9 indices are converted; each index converts its den.
+    from jacobsthal_octonions import cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    converted = recording_conversions(monkeypatch)
+    argv = "verify --identity T5_QUAD --variant both --from 3000 --to 3063 --format json"
+    assert cli.main(argv.split()) == 1
+    out = capsys.readouterr().out
+    assert out.count('"n": ') == 64
+    assert converted.count(49) == 64
+    assert len(converted) - 64 == 9 * 16
 
 
 @pytest.mark.parametrize("record, field", [

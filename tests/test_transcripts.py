@@ -100,6 +100,11 @@ TRANSCRIPTS = [
     ("verify --identity T6_QUAD --variant both --from 3000 --to 3300 --format plain", 1, 11475239,
      "a80174323036bbb927a19e8bb3e79366150daa4a3937bf9b90981a690ce036df",
      ""),
+    # A deep window of two chunks, forked on two CPUs: its values pass
+    # 4,300 digits.
+    ("verify --identity T5_QUAD --variant both --from 10000 --to 10127 --format json", 1, 15601606,
+     "bdc45413f99986559b4ac7dfdaa083be955afeb0c8323ead37b49ddd3f04c7a5",
+     ""),
 ]
 
 
