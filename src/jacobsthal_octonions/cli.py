@@ -46,7 +46,7 @@ from .octonion_sequences import OctonionSequenceKind, oct_seq, oct_seq_closed
 from .sequences import SequenceKind, _check_index, seq_terms
 
 if TYPE_CHECKING:
-    from .identities import IdentityId, Variant, VerificationReport
+    from .identities import IdentityId, Variant
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -259,8 +259,7 @@ def _terminated(signum: int, frame) -> None:
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
-              keep: Optional[Callable[[VerificationReport, Callable[[VerificationReport], dict]],
-                                      tuple[int, str]]]) -> list[dict]:
+              keep: Optional[Callable[[dict], tuple[int, str]]]) -> list[dict]:
     """The report of each variant of ``targets`` over [n_from, n_to] in
     wire form (``identities._range_json``), its failures as ``_tally``
     gives them: counted, or, with ``keep``, the text it renders of each
@@ -290,7 +289,7 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
         # One writer per part, made here, so a forked child's starts empty.
         write = _witness_writer()
         return _tally(targets, n_from, n_to, part, parts,
-                      keep and (lambda report: keep(report, write)))
+                      keep and (lambda report: keep(write(report))))
 
     children: list[tuple[int, IO[bytes]]] = []
     if parts > 1:
@@ -345,24 +344,16 @@ def _json_text(value, indent: str) -> str:
     return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
-def _json_failure(report: VerificationReport,
-                  write: Optional[Callable[[VerificationReport], dict]] = None
-                  ) -> tuple[int, str]:
-    """A failure's n, and its text in the json output (``_format_reports``):
-    its wire form as ``write``, a request's ``identities._witness_writer``,
-    writes it, or as ``report.to_json`` does on its own."""
-    wire = write(report) if write else report.to_json()
-    return report.n, _FAILURE_INDENT + _json_text(wire, _FAILURE_INDENT)
+def _json_failure(wire: dict) -> tuple[int, str]:
+    """A failure's n, and its text in the json output (``_format_reports``),
+    from its wire form (``VerificationReport.to_json``)."""
+    return wire["n"], _FAILURE_INDENT + _json_text(wire, _FAILURE_INDENT)
 
 
-def _plain_failure(report: VerificationReport,
-                   write: Optional[Callable[[VerificationReport], dict]] = None
-                   ) -> tuple[int, str]:
-    """A failure's n, and its line in the plain output, written as
-    ``_json_failure`` writes its wire form."""
-    f = write(report) if write else report.to_json()
-    return report.n, (f"  n={f['n']} lhs={_compact(f['lhs'])} "
-                      f"rhs={_compact(f['rhs'])} delta={_compact(f['delta'])}\n")
+def _plain_failure(f: dict) -> tuple[int, str]:
+    """A failure's n, and its line in the plain output, from its wire form."""
+    return f["n"], (f"  n={f['n']} lhs={_compact(f['lhs'])} "
+                    f"rhs={_compact(f['rhs'])} delta={_compact(f['delta'])}\n")
 
 
 def _format_reports(reports: list[dict], fmt: str) -> Iterator[str]:

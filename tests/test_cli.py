@@ -709,13 +709,13 @@ WIRE_VALUES = [
 def test_a_rendered_failure_is_what_json_dumps_writes(value):
     report = VerificationReport(IdentityId.T5_QUAD, Variant.AS_PRINTED, 3000, False,
                                 value, -value, value + value)
-    n, text = cli._json_failure(report)
+    n, text = cli._json_failure(report.to_json())
     # A failure sits three levels deep: list, report, failure list.
     assert n == 3000
     assert_same_text("[\n  {\n    \"failures\": [\n" + text + "\n    ]\n  }\n]",
                      json.dumps([{"failures": [report.to_json()]}], indent=2))
     wire = report.to_json()
-    n, line = cli._plain_failure(report)
+    n, line = cli._plain_failure(report.to_json())
     assert n == 3000
     assert_same_text(line, "  n=3000 lhs={} rhs={} delta={}\n".format(
         *(json.dumps(wire[side], separators=(",", ":")) for side in ("lhs", "rhs", "delta"))))
