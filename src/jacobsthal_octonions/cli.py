@@ -6,9 +6,9 @@ sequence, optionally cross-checked against its closed form), ``mul-table``
 reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
 2 usage error (an index outside its domain included), 3 any other error
 (one ``j3o: error:`` line on stderr, no traceback), so a crash never reads
-as a failed identity; 130 on Ctrl-C and 143 on SIGTERM to a request in
-parts, with one stderr line, and 141, silently, once stdout is closed or
-its reader has gone.  Data goes to stdout (or ``--out``), diagnostics to
+as a failed identity; 130 on Ctrl-C, and 129 on SIGHUP and 143 on SIGTERM
+to a request in parts, with one stderr line, and 141, silently, once
+stdout is closed or its reader has gone.  Data goes to stdout (or ``--out``), diagnostics to
 stderr, unless it cannot take them (``_say``).  All numbers are emitted
 as decimal strings: coefficients outgrow 64-bit integers quickly, and
 strings round-trip losslessly through JSON and CSV.
@@ -52,7 +52,8 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
 EXIT_ERROR = 3
-EXIT_INTERRUPTED, EXIT_BROKEN_PIPE, EXIT_TERMINATED = 130, 141, 143  # 128 + the signal
+# 128 + the signal
+EXIT_HUNG_UP, EXIT_INTERRUPTED, EXIT_BROKEN_PIPE, EXIT_TERMINATED = 129, 130, 141, 143
 
 
 class UsageError(Exception):
@@ -60,7 +61,8 @@ class UsageError(Exception):
 
 
 class _Terminated(BaseException):
-    """A SIGTERM to this process while it has children (``_verified``)."""
+    """A SIGHUP or SIGTERM to this process while it has children
+    (``_verified``); its one argument is the signal's number."""
 
 
 def _compact(obj) -> str:
@@ -255,7 +257,7 @@ def _received(pipe: IO[bytes]) -> list[list]:
 
 
 def _terminated(signum: int, frame) -> None:
-    raise _Terminated
+    raise _Terminated(signum)
 
 
 def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
@@ -275,8 +277,8 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     powering into it.  A child sends its results, the failures as (n,
     text) pairs.  The counts add up, and the failures, joined and put in
     order of n, are those of one process.  No child outlives the call: on
-    any error here, Ctrl-C and SIGTERM included, the children are killed,
-    and every child is reaped.  (A child does not watch for its parent's
+    any error here, Ctrl-C, SIGHUP and SIGTERM included, the children are
+    killed, and every child is reaped.  (A child does not watch for its parent's
     end: one whose parent is killed by SIGKILL runs on to its part's end.)"""
     from .identities import _CHUNK, _range_json, _skipped, _tally, _witness_writer
 
@@ -295,7 +297,8 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     if parts > 1:
         import signal
 
-        previous = signal.signal(signal.SIGTERM, _terminated)
+        previous = {signum: signal.signal(signum, _terminated)
+                    for signum in (signal.SIGHUP, signal.SIGTERM)}
     try:
         for part in range(1, parts):
             children.append(_fork_part(part_results, part))
@@ -313,7 +316,8 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
             pipe.close()
             os.waitpid(pid, 0)
         if parts > 1:
-            signal.signal(signal.SIGTERM, previous)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
     return [_range_json(identity, variant, n_from, n_to, checked,
                         _skipped(identity, n_from, n_to),
                         # n is unique within a variant, so no text is compared.
@@ -490,10 +494,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         _say(f"j3o: error: {type(exc).__name__}: {exc}")
         return EXIT_ERROR
-    except (KeyboardInterrupt, _Terminated) as exc:
-        terminated = isinstance(exc, _Terminated)
-        _say(f"j3o: {'terminated' if terminated else 'interrupted'}")
-        return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
+    except KeyboardInterrupt:
+        _say("j3o: interrupted")
+        return EXIT_INTERRUPTED
+    except _Terminated as exc:
+        import signal
+
+        hung_up = exc.args[0] == signal.SIGHUP
+        _say(f"j3o: {'hung up' if hung_up else 'terminated'}")
+        return EXIT_HUNG_UP if hung_up else EXIT_TERMINATED
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ two independent computation paths over the terms ``_term_lists`` builds:
 * the left side is always ground truth: recurrence-generated scalars
   combined with exact octonion arithmetic, never a closed form.  The
   running sums of E10 and E11 are read off two terms by the summed
-  recurrence.  A product of two octonions of terms, such as JO(n)*jO(n),
-  is the nine products of their first three terms each, with small
-  weights that the recurrence and the octonion table give at import
-  (``_product``);
+  recurrence.  A quadratic left side, such as JO(n)*jO(n), a square or a
+  norm, is read off a window of products of two terms with small weights
+  that the recurrence and the octonion table give at import; a range
+  seeds the window once a chunk and then moves it along the recurrence
+  by additions (``_window``, ``_step``);
 * the right side is the as-printed closed form (and, for the two
   identities whose printed forms do not survive exact verification, an
   oracle-validated corrected variant as well), as an integer numerator
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
+from operator import mul
 from typing import (TYPE_CHECKING, Callable, Collection, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -118,8 +120,9 @@ def _term_lists(n_from: int, n_to: int, size: int = _CHUNK) -> Iterator[tuple[ra
 # of the chunk that ``_term_lists`` yields for n:
 # sides(j, l, n) is the left side, then the numerator over the row's
 # ``den`` of one right side per variant of the identity, in the order of
-# its ``variants``: (lhs, printed) or (lhs, printed, corrected).
-Sides = Callable[[list, list, int], tuple[Value, ...]]
+# its ``variants``: (lhs, printed) or (lhs, printed, corrected).  The
+# sides of a row with a window also take it, sides(j, l, n, w).
+Sides = Callable[..., tuple[Value, ...]]
 
 
 class Variant(Enum):
@@ -415,16 +418,67 @@ _PRODUCT_WEIGHTS = tuple(
           for p in range(3) for q in range(3))
     for plus, minus in _PRODUCT_TERMS)
 
+# Nr2(X(n)), the sum of x(n+s)^2 over s < 8, with the same weights.
+_NORM_WEIGHTS = tuple(sum(row[p] * row[q] for row in _SHIFT_ROWS)
+                      for p in range(3) for q in range(3))
 
-def _product(x: list, y: list, n: int) -> Octonion:
-    """``_oct(x, n) * _oct(y, n)`` for two lists of J3 or JL3 terms: nine
-    large products x(n+p)*y(n+q), p, q = 0..2, each coefficient a sum of
-    them with small weights (``_PRODUCT_WEIGHTS``), instead of 64.  Built
-    from the recurrence and the octonion table only, so a left side that
-    uses it stays independent of the closed forms."""
-    products = [a * b for a in x[n:n + 3] for b in y[n:n + 3]]
-    return _octonion(tuple([sum([w * m for w, m in zip(weights, products)])
-                            for weights in _PRODUCT_WEIGHTS]))
+
+# ---------------------------------------------------------------------------
+# product windows
+#
+# A quadratic left side is a sum of products of two terms.  Its row keeps
+# a window W(n), the nine products x(n+p)*y(n+q), p, q < 3, in p-major
+# order, of two lists x and y of J3 or JL3 terms, or a sum of such
+# windows with integer weights, and reads each coefficient of its side
+# off W(n) with small weights (``_PRODUCT_WEIGHTS``, ``_NORM_WEIGHTS``).
+# A range seeds a row's window from the terms once a chunk (``_window``)
+# and then moves it on an index at a time by the recurrence alone
+# (``_step``): termwise products of C-finite sequences are C-finite
+# (Kauers and Paule, *The Concrete Tetrahedron*, 2011, ch. 4), so after
+# the seed no index takes a large product.  The weights come from the
+# recurrence and the octonion table only, so the left side stays
+# independent of the closed forms.
+
+def _window(x: list, y: list, n: int) -> list:
+    """W(n) of the term lists x and y: nine large products, or six for a
+    square (x is y), whose window is symmetric."""
+    if x is y:
+        a, b, c = x[n:n + 3]
+        ab, ac, bc = a * b, a * c, b * c
+        return [a * a, ab, ac, ab, b * b, bc, ac, bc, c * c]
+    return [a * b for a in x[n:n + 3] for b in y[n:n + 3]]
+
+
+def _step(w: list) -> list:
+    """W(n + 1) from W(n) = ``w``, each factor moved on by x(k+3) = x(k+2)
+    + x(k+1) + 2*x(k): four entries shift, four are sums of three, and the
+    corner x(n+3)*y(n+3), a sum of all nine with weights 1, 2 and 4, is
+    taken through the two new entries beside it.  The step is linear, so
+    it moves a weighted sum of windows as it moves each one."""
+    w00, w01, w02, w10, w11, w12, w20, w21, w22 = w
+    x3y1 = w21 + w11 + 2 * w01
+    x3y2 = w22 + w12 + 2 * w02
+    return [w11, w12, w12 + w11 + 2 * w10,
+            w21, w22, w22 + w21 + 2 * w20,
+            x3y1, x3y2, x3y2 + x3y1 + 2 * (w20 + w10 + 2 * w00)]
+
+
+def _read(weights: tuple[int, ...], w: list):
+    """The sum of the entries of ``w`` with ``weights``."""
+    return sum(map(mul, weights, w))
+
+
+def _read_octonion(w: list) -> Octonion:
+    """The octonion whose coefficient k is ``_PRODUCT_WEIGHTS[k]`` read off
+    w: X(n)*Y(n) from the window of x and y."""
+    return _octonion(tuple([_read(weights, w) for weights in _PRODUCT_WEIGHTS]))
+
+
+def _combined(w: list, k: int, v: list) -> list:
+    """The window w + k*v, in the list w, so that no third window is held."""
+    for i, b in enumerate(v):
+        w[i] += k * b
+    return w
 
 
 def _norm_closed(lead: int, tail: dict[int, tuple[int, int]], n: int) -> int:
@@ -444,26 +498,26 @@ def _sides_oct_rec(j: list, l: list, n: int):
     return lhs, lhs
 
 
-def _sides_t5(j: list, l: list, n: int):
+def _sides_t5(j: list, l: list, n: int, w: list):
+    # jO(n)^2 + 3*JO(n+3)*jO(n+3), read off W_ll(n) + 3*W_jl(n+3).
     # Numerators over 49 of the printed right side, alpha^2*4^(n+3) +
     # 3*(25*alpha*eps - 31*eps*alpha)*2^(n+1)/49, and of its corrected
     # form: the 25/31 weights replaced by an equal-weight commutator at a
     # higher power of two, 3*(alpha*eps - eps*alpha)*2^(n+3)/7.
-    jol = _oct(l, n)
     square = _ALPHA_SQ_49 * 4 ** (n + 3)
-    return (jol * jol + _product(j, l, n + 3) * 3,
+    return (_read_octonion(w),
             square + _T5_PRINTED_ROWS[n % 3] * 2 ** (n + 1),
             square + _T5_CORRECTED_ROWS[n % 3] * 2 ** (n + 3))
 
 
-def _sides_t6(j: list, l: list, n: int):
+def _sides_t6(j: list, l: list, n: int, w: list):
+    # jO(n)^2 - 9*JO(n)^2, read off W_ll(n) - 9*W_jj(n).
     # Numerators over 7 of (2*alpha^2 + 3*(alpha*eps + eps*alpha))*2^(n+1)/7
     # as printed, and of its corrected form, which replaces the constant
     # coefficient 2 on the squared-alpha term by the index-dependent 2^(n+1).
-    jol, jo = _oct(l, n), _oct(j, n)
     power = 2 ** (n + 1)
     anti = _T6_ROWS[n % 3] * power
-    return (jol * jol - (jo * jo) * 9,
+    return (_read_octonion(w),
             _ALPHA_SQ_2 * power + anti,
             _ALPHA_SQ * (power * power) + anti)
 
@@ -472,8 +526,12 @@ class IdentityDescriptor(NamedTuple):
     """A registered identity: its statement, its evaluation paths, the
     variants it is checked in (in report order, one right side each from
     ``sides``), its domain, n >= n_min and, when ``residue`` is set,
-    n = residue (mod 3), and the denominator ``den`` that its right sides'
-    numerators are over."""
+    n = residue (mod 3), the denominator ``den`` that its right sides'
+    numerators are over, and, for a row whose left side is quadratic, its
+    ``window(j, l, n)``, the window W(n) that the left side reads off.  A
+    range seeds that window once a chunk and steps it (``_evaluated``);
+    ``sides`` take it as a fourth argument, and seed it when it is left
+    out (``_windowed``)."""
 
     statement: str
     sides: Sides
@@ -481,11 +539,26 @@ class IdentityDescriptor(NamedTuple):
     n_min: int = 0
     residue: Optional[int] = None
     den: int = 1
+    window: Optional[Callable[[list, list, int], list]] = None
 
     def in_domain(self, n: int) -> bool:
         if n < self.n_min:
             return False
         return self.residue is None or n % 3 == self.residue
+
+
+def _windowed(statement: str, window: Callable[[list, list, int], list],
+              sides: Callable[..., tuple[Value, ...]], **fields) -> IdentityDescriptor:
+    """The row of ``window`` whose sides are ``sides(j, l, n, w)`` for its
+    window w at n, which they seed from the terms when called without it."""
+    return IdentityDescriptor(
+        statement, lambda j, l, n, w=None: sides(j, l, n, window(j, l, n) if w is None else w),
+        window=window, **fields)
+
+
+def _squares_window(j: list, l: list, n: int) -> list:
+    """W_ll(n) - 9*W_jj(n), the window of T6_QUAD and E12."""
+    return _combined(_window(l, l, n), -9, _window(j, j, n))
 
 
 # The scalar identities between J3 and JL3 in report order; rows that
@@ -513,9 +586,10 @@ _SCALAR_IDENTITIES = {
     "E8": IdentityDescriptor(
         "JL3(n) - J3(n+2) cycles 1, -1, 0 with n mod 3",
         lambda j, l, n: (l[n] - j[n + 2], _JOL_MINUS_JO_SHIFT2[n % 3])),
-    "E9": IdentityDescriptor(
+    "E9": _windowed(
         "JL3(n-3)^2 + 3*J3(n)*JL3(n) = 4^n",
-        lambda j, l, n: (l[n - 3] ** 2 + 3 * j[n] * l[n], 4 ** n), n_min=3),
+        lambda j, l, n: _combined(_window(l, l, n - 3), 3, _window(j, l, n)),
+        lambda j, l, n, w: (w[0], 4 ** n), n_min=3),
     "E10": IdentityDescriptor(
         "sum of J3(0..n) = J3(n+1), minus 1 when n = 0 (mod 3)",
         lambda j, l, n: ((j[n + 2] + 2 * j[n] - 1) // 3,
@@ -524,9 +598,9 @@ _SCALAR_IDENTITIES = {
         "sum of JL3(0..n) = JL3(n+1) - 2, or + 1 when n = 0 (mod 3)",
         lambda j, l, n: ((l[n + 2] + 2 * l[n] - 3) // 3,
                       partial_sum_closed(SequenceKind.THIRD_ORDER_JACOBSTHAL_LUCAS, n))),
-    "E12": IdentityDescriptor(
+    "E12": _windowed(
         "JL3(n)^2 - 9*J3(n)^2 = 2^(n+2)*JL3(n-3)",
-        lambda j, l, n: (l[n] ** 2 - 9 * j[n] ** 2, 2 ** (n + 2) * l[n - 3]), n_min=3),
+        _squares_window, lambda j, l, n, w: (w[0], 2 ** (n + 2) * l[n - 3]), n_min=3),
     "JSUM": IdentityDescriptor(
         "J3(n+2) + J3(n+1) + J3(n) = 2^(n+1)",
         lambda j, l, n: (j[n + 2] + j[n + 1] + j[n], 2 ** (n + 1))),
@@ -551,9 +625,11 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
     "T1_SHIFT4": IdentityDescriptor(
         "JO(n+2) - 4*JO(n) equals a period-3 octonion row",
         lambda j, l, n: (_oct(j, n + 2) - _oct(j, n) * 4, _JO_SHIFT4_ROWS[n % 3])),
-    "T1_NORM": IdentityDescriptor(
+    "T1_NORM": _windowed(
         "Nr2(JO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda j, l, n: (_oct(j, n).norm_sq(), _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n)),
+        lambda j, l, n: _window(j, j, n),
+        lambda j, l, n, w: (_read(_NORM_WEIGHTS, w),
+                            _norm_closed(87380 * 4 ** n, _JO_NORM_TAIL, n)),
         den=49),
     "T2_SUM": IdentityDescriptor(
         "jO(n+2) + jO(n+1) + jO(n) = 2^(n+3)*alpha",
@@ -561,10 +637,11 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
     "T2_SHIFT4": IdentityDescriptor(
         "jO(n+2) - 4*jO(n) equals a period-3 octonion row",
         lambda j, l, n: (_oct(l, n + 2) - _oct(l, n) * 4, _JOL_SHIFT4_ROWS[n % 3])),
-    "T2_NORM": IdentityDescriptor(
+    "T2_NORM": _windowed(
         "Nr2(jO(n)) equals a residue-split quadratic in 2^n over 49",
-        lambda j, l, n: (_oct(l, n).norm_sq(),
-                      _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n)),
+        lambda j, l, n: _window(l, l, n),
+        lambda j, l, n, w: (_read(_NORM_WEIGHTS, w),
+                            _norm_closed(21845 * 2 ** (2 * n + 6), _JOL_NORM_TAIL, n)),
         den=49),
     "T3_A": IdentityDescriptor(
         "jO(n+3) - 3*JO(n+3) = 2*jO(n)",
@@ -578,22 +655,25 @@ _IDENTITIES: dict[str, IdentityDescriptor] = {
     "T3_D": IdentityDescriptor(
         "jO(n) - 4*JO(n) = eps(n)",
         lambda j, l, n: (_oct(l, n) - _oct(j, n) * 4, EPSILON_HAT_ROWS[n % 3])),
-    "T4_PROD_JOJ": IdentityDescriptor(
+    "T4_PROD_JOJ": _windowed(
         "49*(jO(n)*JO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda j, l, n: (_product(l, j, n),
-                      _product_numerator(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
+        lambda j, l, n: _window(l, j, n),
+        lambda j, l, n, w: (_read_octonion(w),
+                            _product_numerator(ProductOrder.LUCAS_TIMES_JACOBSTHAL, n)),
         residue=0, den=49),
-    "T4_PROD_JJO": IdentityDescriptor(
+    "T4_PROD_JJO": _windowed(
         "49*(JO(n)*jO(n)) equals quadratic polynomials in 2^n, n = 0 (mod 3)",
-        lambda j, l, n: (_product(j, l, n),
-                      _product_numerator(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
+        lambda j, l, n: _window(j, l, n),
+        lambda j, l, n, w: (_read_octonion(w),
+                            _product_numerator(ProductOrder.JACOBSTHAL_TIMES_LUCAS, n)),
         residue=0, den=49),
-    "T5_QUAD": IdentityDescriptor(
+    "T5_QUAD": _windowed(
         "jO(n)^2 + 3*JO(n+3)*jO(n+3) against the printed right side",
+        lambda j, l, n: _combined(_window(l, l, n), 3, _window(j, l, n + 3)),
         _sides_t5, variants=tuple(Variant), den=49),
-    "T6_QUAD": IdentityDescriptor(
+    "T6_QUAD": _windowed(
         "jO(n)^2 - 9*JO(n)^2 against the printed right side",
-        _sides_t6, variants=tuple(Variant), den=7),
+        _squares_window, _sides_t6, variants=tuple(Variant), den=7),
 }
 
 IdentityId = Enum("IdentityId", [(name, name) for name in _IDENTITIES], module=__name__)
@@ -654,9 +734,29 @@ def verify(identity: IdentityId, variant: Variant, n: int) -> VerificationReport
                 f"{identity.name} is defined for n = {descriptor.residue} (mod 3), got {n}"
             )
         raise DomainError(f"{identity.name} is defined for n >= {descriptor.n_min}, got {n}")
-    ((_, j, l),) = _term_lists(n, n)
-    sides = descriptor.sides(j, l, n)
+    ((indices, j, l),) = _term_lists(n, n)
+    ((_, sides),) = _evaluated(descriptor, indices, j, l)
     return _check(identity, variant, n, sides[0], sides[column], descriptor.den)
+
+
+def _evaluated(descriptor: IdentityDescriptor, indices: range, j: list,
+               l: list) -> Iterator[tuple[int, tuple[Value, ...]]]:
+    """(n, the sides at n) of a row, for each n of ``indices``, one chunk's,
+    in its domain.  A row with a window seeds it at the first of them and
+    steps it to each later index, through the others too, so it takes no
+    large product after the first; it holds one window."""
+    sides, window, in_domain = descriptor.sides, descriptor.window, descriptor.in_domain
+    w = None
+    for n in indices:
+        if w is not None:
+            w = _step(w)
+        if in_domain(n):
+            if window is None:
+                yield n, sides(j, l, n)
+                continue
+            if w is None:
+                w = window(j, l, n)
+            yield n, sides(j, l, n, w)
 
 
 def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
@@ -666,7 +766,8 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     ``(identity, variants)`` of ``targets``, in order, over [n_from, n_to].
 
     The terms are walked once for every target, and each target's sides
-    are evaluated once per index of its domain, so its variants share the
+    are evaluated once per index of its domain (``_evaluated``, which
+    seeds a quadratic row's window once a chunk), so its variants share the
     left side, which is scaled once by the row's ``den`` and compared with
     each variant's numerator: a passing index builds no rational value.
     Only the chunks ``part``, ``part + parts``, ... of the range are
@@ -694,17 +795,16 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
             continue
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):
             den = descriptor.den
-            for n in indices:
-                if not descriptor.in_domain(n):
-                    continue
+            for n, sides in _evaluated(descriptor, indices, j, l):
                 tally[0] += 1
-                sides = descriptor.sides(j, l, n)
                 scaled = sides[0] * den if den > 1 else sides[0]
                 for i, column in enumerate(columns):
                     if scaled != sides[column]:
                         tally[1 + i] += ([keep(_check(identity, variants[i], n, sides[0],
                                                       sides[column], den))]
                                          if keep else 1)
+                # The next index is evaluated without this one's values.
+                del sides, scaled
     return tallies
 
 

@@ -3,12 +3,9 @@
 An octonion is stored as eight integer coefficients over the basis units
 e0..e7, where e0 = 1 is the real unit.  Products of basis units come from a
 signed 8x8 table built from the seven quaternionic triples, and the full
-product is the bilinear extension of that table (64 multiplications); a
-square x*x of one object takes an exact 15-multiplication path,
-(a0^2 - |v|^2) + 2*a0*v, which the tests check against the general
-product.  The algebra is
-non-commutative and non-associative, but alternative, and the Euclidean norm
-form is multiplicative.  The table's laws (e0 is the unit, e_i^2 = -1,
+product is the bilinear extension of that table (64 multiplications).
+The algebra is non-commutative and non-associative, but alternative, and
+the Euclidean norm form is multiplicative.  The table's laws (e0 is the unit, e_i^2 = -1,
 distinct imaginary units anticommute, each triple is cyclic) hold by
 construction and are asserted by the test suite, not checked at import.
 
@@ -207,12 +204,6 @@ class Octonion:
         # Exactly int, as for a coefficient: a bool is refused.
         if type(other) is int:
             return _octonion(tuple([a * other for a in self._c]))
-        if other is self:
-            # x*x = (a0^2 - |v|^2) + 2*a0*v: the imaginary units square to
-            # -1 and anticommute, so the cross terms of v*v cancel.
-            a0, *v = self._c
-            twice = 2 * a0
-            return _octonion((a0 * a0 - sum([a * a for a in v]), *[twice * a for a in v]))
         if isinstance(other, Octonion):
             a, b = self._c, other._c
             return _octonion(tuple([sum([a[i] * b[j] for i, j in plus])

@@ -17,3 +17,21 @@ def octonion_products(monkeypatch) -> list:
 
     monkeypatch.setattr(Octonion, "__mul__", counting)
     return calls
+
+
+@pytest.fixture
+def window_products(monkeypatch) -> list:
+    """A one-element list counting the large products that seeding product
+    windows takes from here on (``identities._window``): six for a square,
+    nine for two term lists."""
+    from jacobsthal_octonions import identities
+
+    calls = [0]
+    window = identities._window
+
+    def counting(x, y, n):
+        calls[0] += 6 if x is y else 9
+        return window(x, y, n)
+
+    monkeypatch.setattr(identities, "_window", counting)
+    return calls

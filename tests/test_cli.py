@@ -234,14 +234,16 @@ def test_verify_plain_failure_lines(capsys):
 
 
 @pytest.mark.parametrize("identity", ["T5_QUAD", "T6_QUAD"])
-def test_verify_both_makes_the_products_of_one_variant(capsys, octonion_products, identity):
+def test_verify_both_makes_the_products_of_one_variant(capsys, window_products, identity):
+    # The large products are the window's seed, taken at the range's first
+    # index: a range of six indices takes those of one.
     counts = []
-    for variant in ("printed", "both"):
-        octonion_products[0] = 0
+    for variant, n_to in (("printed", "35"), ("both", "35"), ("both", "30")):
+        window_products[0] = 0
         run(capsys, "verify", "--identity", identity, "--variant", variant,
-            "--from", "30", "--to", "35", "--format", "csv")
-        counts.append(octonion_products[0])
-    assert counts[0] == counts[1] > 0
+            "--from", "30", "--to", n_to, "--format", "csv")
+        counts.append(window_products[0])
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 @pytest.mark.parametrize("argv, report, skipped", [
@@ -559,14 +561,16 @@ def test_ctrl_c_in_this_process_kills_the_children_and_exits_130(capsys, monkeyp
 def test_only_a_request_in_parts_handles_sigterm_and_its_children_ignore_ctrl_c(
         capsys, monkeypatch, cpus):
     # A child reports its SIGINT handler as its error; this process
-    # handles SIGTERM only while it has children.
+    # handles SIGHUP and SIGTERM only while it has children.
     before = signal.getsignal(signal.SIGTERM)
+    hangup = signal.getsignal(signal.SIGHUP)
     tally = identities._tally
 
     def probe(targets, n_from, n_to, part, parts, keep):
         if part:
             raise RuntimeError(repr(signal.getsignal(signal.SIGINT)))
         assert signal.getsignal(signal.SIGTERM) is (cli._terminated if parts > 1 else before)
+        assert signal.getsignal(signal.SIGHUP) is (cli._terminated if parts > 1 else hangup)
         return tally(targets, n_from, n_to, part, parts, keep)
 
     monkeypatch.setattr(identities, "_tally", probe)
@@ -579,6 +583,7 @@ def test_only_a_request_in_parts_handles_sigterm_and_its_children_ignore_ctrl_c(
         assert err == ("j3o: error: ChildProcessError: a counting process failed: "
                        f"RuntimeError: {signal.SIG_IGN!r}\n")
     assert signal.getsignal(signal.SIGTERM) is before
+    assert signal.getsignal(signal.SIGHUP) is hangup
     assert_no_child_left()
 
 
@@ -604,7 +609,8 @@ def status(pid):
 @pytest.mark.parametrize("signum, group, code, line", [
     (signal.SIGINT, True, 130, "j3o: interrupted"),
     (signal.SIGTERM, False, 143, "j3o: terminated"),
-], ids=["ctrl-c-to-the-group", "sigterm-to-the-parent"])
+    (signal.SIGHUP, False, 129, "j3o: hung up"),
+], ids=["ctrl-c-to-the-group", "sigterm-to-the-parent", "sighup-to-the-parent"])
 def test_a_signal_ends_a_request_in_parts_with_one_line_and_no_child(signum, group, code, line):
     if signal.getsignal(signum) is signal.SIG_IGN:
         pytest.skip("this process ignores the signal, and so would the request")
@@ -639,6 +645,42 @@ def test_a_signal_ends_a_request_in_parts_with_one_line_and_no_child(signum, gro
             process.communicate()
     assert (process.returncode, out, err) == (code, "", line + "\n")
     assert left == []
+
+
+@pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and os.path.isdir("/proc")),
+                    reason="a pinned request needs sched_setaffinity, and its check /proc")
+@pytest.mark.parametrize("signum, group, code, err", [
+    (signal.SIGINT, True, 130, "j3o: interrupted\n"),
+    (signal.SIGTERM, False, -signal.SIGTERM, ""),
+    (signal.SIGHUP, False, -signal.SIGHUP, ""),
+], ids=["ctrl-c-to-the-group", "sigterm", "sighup"])
+def test_a_signal_ends_a_request_on_one_cpu_with_no_traceback(signum, group, code, err):
+    # On one CPU a request forks nothing and handles no SIGHUP or SIGTERM:
+    # either ends it as it ends any process, with nothing on stderr.
+    if signal.getsignal(signum) is signal.SIG_IGN:
+        pytest.skip("this process ignores the signal, and so would the request")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    cpu = min(os.sched_getaffinity(0))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "jacobsthal_octonions", "verify", "--all", "--variant", "both",
+         "--to", "30000", "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    try:
+        time.sleep(1.0)  # past start-up, into the range
+        assert process.poll() is None and children_of(process.pid) == []
+        if group:
+            os.killpg(process.pid, signum)
+        else:
+            process.send_signal(signum)
+        out, stderr = process.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        if process.poll() is None:
+            process.communicate()
+    assert (process.returncode, out, stderr) == (code, "", err)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

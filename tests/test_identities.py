@@ -25,9 +25,13 @@ from jacobsthal_octonions.identities import (
     _ALPHA_EPS_ROWS,
     _CHUNK,
     _EPS_ALPHA_ROWS,
+    _NORM_WEIGHTS,
     _oct,
-    _product,
+    _read,
+    _read_octonion,
+    _step,
     _term_lists,
+    _window,
 )
 from jacobsthal_octonions.octonion import Octonion, ScaledOctonion
 from jacobsthal_octonions.octonion_sequences import (
@@ -284,15 +288,19 @@ def test_range_unknown_variant_propagates():
 
 
 @pytest.mark.parametrize("identity", [IdentityId.T5_QUAD, IdentityId.T6_QUAD])
-def test_both_variants_cost_the_products_of_one(identity, octonion_products):
+def test_both_variants_cost_the_products_of_one(identity, window_products):
     # The sides are evaluated once per index, so the left side's products
-    # are not repeated for the second variant.
+    # are not repeated for the second variant; they are its window's seed,
+    # so a range takes those of its first index.
     counts = {}
     for variants in ((PRINTED,), (CORRECTED,), (PRINTED, CORRECTED)):
-        octonion_products[0] = 0
+        window_products[0] = 0
         verify_ranges(identity, variants, 30, 35)
-        counts[variants] = octonion_products[0]
-    assert counts[(PRINTED, CORRECTED)] == counts[(PRINTED,)] == counts[(CORRECTED,)] > 0
+        counts[variants] = window_products[0]
+    window_products[0] = 0
+    verify_ranges(identity, (PRINTED,), 30, 30)
+    assert counts[(PRINTED, CORRECTED)] == counts[(PRINTED,)] == counts[(CORRECTED,)] \
+        == window_products[0] > 0
 
 
 @pytest.mark.parametrize("identity", [IdentityId.T5_QUAD, IdentityId.T6_QUAD])
@@ -813,25 +821,109 @@ def test_alpha_epsilon_rows_match_products():
 @pytest.mark.parametrize("x_kind", THIRD_ORDER_KINDS)
 @pytest.mark.parametrize("y_kind", THIRD_ORDER_KINDS)
 def test_window_product_equals_the_table_product(x_kind, y_kind):
-    # Nine products of the first three terms and the import-time weights
-    # against the 64-product bilinear table, at small, witness-sized and
-    # deep indices.
+    # The window's products of the first three terms and the import-time
+    # weights against the 64-product bilinear table and the norm form, at
+    # small, witness-sized and deep indices.
     x, y = (list(islice(seq_terms(kind), 48)) for kind in (x_kind, y_kind))
+    if x_kind is y_kind:
+        y = x
     for n in range(41):
-        assert _product(x, y, n) == _oct(x, n) * _oct(y, n), n
+        assert _read_octonion(_window(x, y, n)) == _oct(x, n) * _oct(y, n), n
+        if x is y:
+            assert _read(_NORM_WEIGHTS, _window(x, x, n)) == _oct(x, n).norm_sq(), n
     for n in (3000, random.Random(5).randrange(99000, 10 ** 5)):
         x, y = (list(islice(seq_terms(kind, n), 8)) for kind in (x_kind, y_kind))
-        assert _product(x, y, 0) == _oct(x, 0) * _oct(y, 0), n
+        assert _read_octonion(_window(x, y, 0)) == _oct(x, 0) * _oct(y, 0), n
+        assert _read(_NORM_WEIGHTS, _window(x, x, 0)) == _oct(x, 0).norm_sq(), n
 
 
-def test_window_products_leave_only_squares_to_the_octonion_product(octonion_products):
-    # T4's products and T5's JO(n+3)*jO(n+3) come from _product; T5 keeps
-    # its square jO(n)*jO(n), one octonion product per index.
+@pytest.mark.parametrize("x_kind", THIRD_ORDER_KINDS)
+@pytest.mark.parametrize("y_kind", THIRD_ORDER_KINDS)
+def test_a_stepped_window_is_its_products_at_every_entry(x_kind, y_kind):
+    # Each step moves both factors on by the recurrence: every entry equals
+    # the product of the terms, from n = 0 and from witness-sized and deep
+    # seeds, for two lists and for a square.
+    rng = random.Random(14)
+    for start, steps in ((0, 40), (3000, 12), (rng.randrange(99000, 10 ** 5), 4)):
+        x, y = (list(islice(seq_terms(kind, start), steps + 3)) for kind in (x_kind, y_kind))
+        if x_kind is y_kind:
+            y = x
+        w = _window(x, y, 0)
+        for k in range(steps + 1):
+            assert w == [x[k + p] * y[k + q] for p in range(3) for q in range(3)], (start, k)
+            w = _step(w)
+
+
+# The left side of each row with a window, from the terms by the octonion
+# product, the norm form or integer products, with no window.
+DIRECT_LEFT_SIDES = {
+    IdentityId.E9: lambda j, l, n: l[n - 3] * l[n - 3] + 3 * j[n] * l[n],
+    IdentityId.E12: lambda j, l, n: l[n] * l[n] - 9 * j[n] * j[n],
+    IdentityId.T1_NORM: lambda j, l, n: _oct(j, n).norm_sq(),
+    IdentityId.T2_NORM: lambda j, l, n: _oct(l, n).norm_sq(),
+    IdentityId.T4_PROD_JOJ: lambda j, l, n: _oct(l, n) * _oct(j, n),
+    IdentityId.T4_PROD_JJO: lambda j, l, n: _oct(j, n) * _oct(l, n),
+    IdentityId.T5_QUAD: lambda j, l, n: (_oct(l, n) * _oct(l, n)
+                                         + _oct(j, n + 3) * _oct(l, n + 3) * 3),
+    IdentityId.T6_QUAD: lambda j, l, n: _oct(l, n) * _oct(l, n) - _oct(j, n) * _oct(j, n) * 9,
+}
+
+
+def test_the_rows_with_a_window_are_the_quadratic_ones():
+    assert {identity for identity, descriptor in REGISTRY.items()
+            if descriptor.window is not None} == set(DIRECT_LEFT_SIDES)
+
+
+@pytest.mark.parametrize("identity", DIRECT_LEFT_SIDES, ids=lambda i: i.name)
+def test_a_stepped_row_window_is_its_seed(identity):
+    # A row's window is a weighted sum of windows, which the step moves as
+    # it moves each: stepped from the row's first index, it equals the
+    # window seeded afresh at every later one.
+    descriptor = REGISTRY[identity]
+    j, l = (list(islice(seq_terms(kind), 60)) for kind in THIRD_ORDER_KINDS)
+    w = descriptor.window(j, l, descriptor.n_min)
+    for n in range(descriptor.n_min, 41):
+        assert w == descriptor.window(j, l, n), n
+        w = _step(w)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("identity", DIRECT_LEFT_SIDES, ids=lambda i: i.name)
+def test_every_quadratic_left_side_in_a_tally_is_its_direct_product(
+        monkeypatch, identity, parts):
+    # The row's right side is replaced by its left side taken directly, so
+    # a tally passes exactly where every stepped window reads the direct
+    # value: at n = 0..40, across every chunk boundary of a range of three
+    # chunks in one part and four in two, near 3000 and near 10^5.
+    descriptor = REGISTRY[identity]
+    direct = DIRECT_LEFT_SIDES[identity]
+    monkeypatch.setitem(REGISTRY, identity, descriptor._replace(
+        sides=lambda j, l, n, w=None: (descriptor.sides(j, l, n, w)[0], direct(j, l, n)),
+        variants=(PRINTED,), den=1))
+    deep = 3 * random.Random(27).randrange(33000, 33334)
+    for n_from, n_to in ((0, 40), (_CHUNK - 3, 3 * _CHUNK + 2), (2995, 3004), (deep - 1, deep + 1)):
+        tallies = [identities._tally([(identity, [PRINTED])], n_from, n_to, part, parts,
+                                     keep=lambda report: report.n)[0]
+                   for part in range(parts)]
+        assert sum(checked for checked, _ in tallies) == len(
+            [n for n in range(n_from, n_to + 1) if descriptor.in_domain(n)])
+        assert [failed for _, failed in tallies] == [[]] * parts, (n_from, n_to)
+
+
+def test_window_products_leave_nothing_to_the_octonion_product(octonion_products,
+                                                               window_products):
+    # Every quadratic left side reads a window, which takes its large
+    # products once, at the range's first index in the row's domain: T4's
+    # nine, and T5's six for jO(n)^2 and nine for JO(n+3)*jO(n+3).  Later
+    # indices take none, and no row takes an octonion product.
     for identity in (IdentityId.T4_PROD_JOJ, IdentityId.T4_PROD_JJO):
+        window_products[0] = 0
         assert verify_range(identity, PRINTED, 0, 30).passed
-    assert octonion_products[0] == 0
+        assert window_products[0] == 9
+    window_products[0] = 0
     verify_ranges(IdentityId.T5_QUAD, (PRINTED, CORRECTED), 30, 35)
-    assert octonion_products[0] == 6
+    assert window_products[0] == 6 + 9
+    assert octonion_products[0] == 0
 
 
 # --- E10/E11: running sums ----------------------------------------------------

@@ -108,14 +108,12 @@ def test_product_matches_basis_expansion(bits, pairs):
         p, q = sparse_octonion(rng, bits), sparse_octonion(rng, bits)
         for x, y in ((p, q), (q, p), (p, p), (p, -q)):
             assert x * y == reference_product(x, y)
-        # p * p (one object) takes the squaring path; p times an equal but
-        # distinct copy takes the general product.
         assert p * p == p * Octonion(p.coefficients)
     zero = Octonion((0,) * 8)
     assert p * zero == zero * p == reference_product(p, zero) == zero
 
 
-# --- the squaring path ----------------------------------------------------
+# --- squares ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("coefficients, square", [
