@@ -9,7 +9,8 @@ reports).  Exit codes: 0 all checks pass, 1 at least one exact discrepancy,
 as a failed identity; 130 on Ctrl-C, and 129 on SIGHUP and 143 on SIGTERM
 to a request in parts, with one stderr line, and 141, silently, once
 stdout is closed or its reader has gone.  Data goes to stdout (or ``--out``), diagnostics to
-stderr, unless it cannot take them (``_say``).  All numbers are emitted
+stderr, unless it cannot take them (``_say``).  The process (``run``)
+leaves at its last flush, without the interpreter's teardown.  All numbers are emitted
 as decimal strings: coefficients outgrow 64-bit integers quickly, and
 strings round-trip losslessly through JSON and CSV.
 
@@ -33,12 +34,11 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import marshal
 import os
 import sys
 from itertools import islice
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import DomainError
 from .octonion import MULTIPLICATION_TABLE, _decimal_str
@@ -66,6 +66,8 @@ class _Terminated(BaseException):
 
 
 def _compact(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -115,6 +117,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     terms = islice(seq_terms(kind, args.n_from), args.n_to - args.n_from + 1)
     rows = [(n, _decimal_str(x)) for n, x in enumerate(terms, args.n_from)]
     if args.format == "json":
+        import json
+
         text = json.dumps([{"n": n, "value": v} for n, v in rows], indent=2) + "\n"
     elif args.format == "csv":
         text = "".join(f"{n},{v}\n" for n, v in rows)
@@ -136,6 +140,8 @@ def _cmd_oct(args: argparse.Namespace) -> int:
         value = closed
     coefficients = value.to_json()
     if args.format == "json":
+        import json
+
         payload = {"kind": kind.value, "n": args.n, "coefficients": coefficients}
         if agree is not None:
             payload["closed_equals_recurrence"] = agree
@@ -146,7 +152,8 @@ def _cmd_oct(args: argparse.Namespace) -> int:
             row.append(str(agree).lower())
         text = ",".join(row) + "\n"
     else:
-        text = _compact(coefficients) + "\n"
+        # _compact's text of decimal strings, which need no escaping.
+        text = '["' + '","'.join(coefficients) + '"]\n'
         if agree is not None:
             text += f"closed=recurrence: {str(agree).lower()}\n"
     _emit((text,), args.out)
@@ -163,6 +170,8 @@ def _cmd_mul_table(args: argparse.Namespace) -> int:
     rows = [[f"e{i}"] + [_table_entry(*entry) for entry in row]
             for i, row in enumerate(MULTIPLICATION_TABLE)]
     if args.format == "json":
+        import json
+
         table = [[{"sign": entry.sign, "e": entry.index} for entry in row]
                  for row in MULTIPLICATION_TABLE]
         text = json.dumps(table, indent=2) + "\n"
@@ -209,10 +218,21 @@ def _parts(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[int, IO[bytes]]:
-    """A child process that runs ``part_results(part)``: its pid, and the
-    pipe on which it sends one ``marshal`` dict, its results or its error."""
+def _fork_part(part_results: Callable[[int, Callable[[], None]], list[list]],
+               part: int) -> tuple[int, IO[bytes]]:
+    """A child process that runs ``part_results(part, stop_if_orphaned)``:
+    its pid, and the pipe on which it sends one ``marshal`` dict, its
+    results or its error.  Called before each of its chunks,
+    ``stop_if_orphaned`` ends the child once this process has gone."""
     import signal
+
+    parent = os.getpid()
+
+    def stop_if_orphaned() -> None:
+        # A parent killed by SIGKILL reaps and reads nothing; its child,
+        # which has no one to send to, stops at its next chunk.
+        if os.getppid() != parent:
+            os._exit(0)
 
     read, write = os.pipe()
     try:
@@ -231,7 +251,7 @@ def _fork_part(part_results: Callable[[int], list[list]], part: int) -> tuple[in
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(read)
         try:
-            result = {"results": part_results(part)}
+            result = {"results": part_results(part, stop_if_orphaned)}
         except DomainError as exc:
             result = {"domain": str(exc)}
         except Exception as exc:
@@ -278,8 +298,8 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     text) pairs.  The counts add up, and the failures, joined and put in
     order of n, are those of one process.  No child outlives the call: on
     any error here, Ctrl-C, SIGHUP and SIGTERM included, the children are
-    killed, and every child is reaped.  (A child does not watch for its parent's
-    end: one whose parent is killed by SIGKILL runs on to its part's end.)"""
+    killed, and every child is reaped.  A child whose parent is killed by
+    SIGKILL, which no handler sees, stops at its next chunk (``_fork_part``)."""
     from .identities import _CHUNK, _range_json, _skipped, _tally, _witness_writer
 
     # Every part's walk checks the bound too; checking it here forks nothing
@@ -287,11 +307,11 @@ def _verified(targets: list[tuple[IdentityId, Sequence[Variant]]], n_from: int, 
     _check_index(n_to)
     parts = _parts(len(range(n_from, n_to + 1, _CHUNK)))
 
-    def part_results(part: int) -> list[list]:
+    def part_results(part: int, before_chunk: Optional[Callable[[], None]] = None) -> list[list]:
         # One writer per part, made here, so a forked child's starts empty.
         write = _witness_writer()
         return _tally(targets, n_from, n_to, part, parts,
-                      keep and (lambda report: keep(write(report))))
+                      keep and (lambda report: keep(write(report))), before_chunk)
 
     children: list[tuple[int, IO[bytes]]] = []
     if parts > 1:
@@ -370,6 +390,8 @@ def _format_reports(reports: list[dict], fmt: str) -> Iterator[str]:
         yield "".join(f"{r['id']},{r['variant']},{r['n_from']},{r['n_to']},{r['checked']},"
                       f"{len(r['skipped'])},{r['failures']}\n" for r in reports)
     elif fmt == "json":
+        import json
+
         empty = '"failures": []'
         heads = json.dumps([{**r, "failures": []} for r in reports], indent=2).split(empty)
         yield heads[0]
@@ -411,12 +433,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser``, its subcommands' too, whose usage errors go
-    through ``_say``: argparse would write its usage to stdout when stderr
-    is closed."""
+    through ``_say``, and whose help is output like any other: argparse
+    would write its usage to stdout when stderr is closed, its help to
+    stderr when stdout is closed, and drop a help that cannot be written.
+    Either ends in ``SystemExit``, which ``run`` turns into the flush and
+    exit of every request."""
 
     def error(self, message: str):
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
         self.exit(EXIT_USAGE)
+
+    def print_help(self, file=None) -> None:
+        if sys.stdout is None:
+            raise _broken_pipe()
+        sys.stdout.write(self.format_help())
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -479,9 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request and return its exit code; argparse raises
+    ``SystemExit`` for ``--help`` and usage errors.  The process entry is
+    ``run``."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, DomainError) as exc:
         _say(f"j3o: error: {exc}")
@@ -505,5 +537,50 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HUNG_UP if hung_up else EXIT_TERMINATED
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler, such as coverage or cProfile, watches
+    this process: it writes its results as the process exits.  Since
+    Python 3.12 either may watch through ``sys.monitoring`` instead, as
+    one of its tools 0 to 5."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None for tool in range(6))))
+
+
+def run() -> NoReturn:
+    """The ``j3o`` process: ``main`` on the command line, then the flush of
+    stdout and stderr, and the exit.
+
+    The process leaves through ``os._exit`` at that flush, as a forked part
+    does, and so skips the interpreter's teardown, which takes longer than
+    a short request's work.  Whatever the request opened is closed and its
+    children reaped by then.  A flush that finds stdout's reader gone exits
+    141 with nothing on stderr, any other failure to write 3 with one
+    ``j3o: error:`` line; a stderr that cannot be written drops its line
+    (``_say``).  A tracer or profiler that writes its results at exit
+    (``_watched``) gets the usual ``sys.exit``."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help or a usage error
+        code = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        if code != EXIT_ERROR:  # else main has said why
+            _say(f"j3o: error: {type(exc).__name__}: {exc}")
+        code = EXIT_ERROR
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+    if _watched():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -761,7 +761,8 @@ def _evaluated(descriptor: IdentityDescriptor, indices: range, j: list,
 
 def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int, n_to: int,
            part: int = 0, parts: int = 1,
-           keep: Optional[Callable[[VerificationReport], object]] = None) -> list[list]:
+           keep: Optional[Callable[[VerificationReport], object]] = None,
+           before_chunk: Optional[Callable[[], object]] = None) -> list[list]:
     """[checked, then the failures of each of its variants] for each
     ``(identity, variants)`` of ``targets``, in order, over [n_from, n_to].
 
@@ -779,8 +780,9 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
 
     The range is cut into a multiple of ``parts`` chunks of at most
     ``_CHUNK`` indices and of nearly equal size, so that every part gets
-    as many chunks and nearly as many indices.  A request of no target
-    checks its range's bound and walks nothing."""
+    as many chunks and nearly as many indices.  ``before_chunk``, if
+    given, is called before each chunk this part evaluates.  A request of
+    no target checks its range's bound and walks nothing."""
     rows = [(identity, REGISTRY[identity], variants, _columns(identity, variants))
             for identity, variants in targets]
     if not rows:
@@ -793,6 +795,8 @@ def _tally(targets: Sequence[tuple[IdentityId, Sequence[Variant]]], n_from: int,
     for k, (indices, j, l) in enumerate(_term_lists(n_from, n_to, size)):
         if k % parts != part:
             continue
+        if before_chunk is not None:
+            before_chunk()
         for (identity, descriptor, variants, columns), tally in zip(rows, tallies):
             den = descriptor.den
             for n, sides in _evaluated(descriptor, indices, j, l):

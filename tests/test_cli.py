@@ -495,10 +495,10 @@ def test_a_request_of_many_rows_walks_its_terms_once(capsys, monkeypatch):
 def test_a_part_that_raises_exits_3_and_leaves_no_child(capsys, monkeypatch, fmt):
     tally = identities._tally
 
-    def failing(targets, n_from, n_to, part, parts, keep):
+    def failing(targets, n_from, n_to, part, parts, keep, before_chunk):
         if part:
             raise RuntimeError("chunk lost")
-        return tally(targets, n_from, n_to, part, parts, keep)
+        return tally(targets, n_from, n_to, part, parts, keep, before_chunk)
 
     monkeypatch.setattr(identities, "_tally", failing)
     code, out, err, forks = verify_on(capsys, monkeypatch, 2, fmt,
@@ -527,7 +527,7 @@ def test_a_child_that_sends_no_whole_result_exits_3(capsys, monkeypatch, fmt, se
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, fmt):
-    def stalled(targets, n_from, n_to, part, parts, keep):
+    def stalled(targets, n_from, n_to, part, parts, keep, before_chunk):
         if part:
             time.sleep(60)
         raise RuntimeError("chunk lost")
@@ -543,7 +543,7 @@ def test_a_raise_in_this_process_kills_the_children_first(capsys, monkeypatch, f
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_ctrl_c_in_this_process_kills_the_children_and_exits_130(capsys, monkeypatch, fmt):
-    def stalled(targets, n_from, n_to, part, parts, keep):
+    def stalled(targets, n_from, n_to, part, parts, keep, before_chunk):
         if part:
             time.sleep(60)
         raise KeyboardInterrupt
@@ -566,12 +566,12 @@ def test_only_a_request_in_parts_handles_sigterm_and_its_children_ignore_ctrl_c(
     hangup = signal.getsignal(signal.SIGHUP)
     tally = identities._tally
 
-    def probe(targets, n_from, n_to, part, parts, keep):
+    def probe(targets, n_from, n_to, part, parts, keep, before_chunk):
         if part:
             raise RuntimeError(repr(signal.getsignal(signal.SIGINT)))
         assert signal.getsignal(signal.SIGTERM) is (cli._terminated if parts > 1 else before)
         assert signal.getsignal(signal.SIGHUP) is (cli._terminated if parts > 1 else hangup)
-        return tally(targets, n_from, n_to, part, parts, keep)
+        return tally(targets, n_from, n_to, part, parts, keep, before_chunk)
 
     monkeypatch.setattr(identities, "_tally", probe)
     code, out, err, forks = verify_on(capsys, monkeypatch, cpus, "csv",
@@ -644,6 +644,40 @@ def test_a_signal_ends_a_request_in_parts_with_one_line_and_no_child(signum, gro
         if process.poll() is None:
             process.communicate()
     assert (process.returncode, out, err) == (code, "", line + "\n")
+    assert left == []
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                         and len(os.sched_getaffinity(0)) > 1 and os.path.isdir("/proc")),
+                    reason="a request in parts needs fork, sched_getaffinity and two CPUs")
+def test_a_part_whose_parent_is_killed_stops_at_its_next_chunk():
+    # SIGKILL gives the parent no chance to kill its children.  The range
+    # is hundreds of chunks, minutes of work, each chunk here well under a
+    # second.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "jacobsthal_octonions", "verify", "--all", "--variant", "both",
+         "--to", "30000", "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        children = []
+        while not children and process.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            children = children_of(process.pid)
+        assert children, "no child forked"
+        time.sleep(0.2)  # into their parts
+        process.kill()
+        process.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(status(pid) is not None for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in children if status(pid) is not None]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait()
     assert left == []
 
 
@@ -902,7 +936,9 @@ def run_with_closed(redirect, argv):
 
 @pytest.mark.parametrize("argv", ["seq --kind j3 --to 3", "oct --kind JO --n 3", "mul-table",
                                   "verify --all --to 300 --format csv",
-                                  "verify --all --variant both --to 300 --format json"])
+                                  "verify --all --variant both --to 300 --format json",
+                                  # argparse would write the help to stderr.
+                                  "--help", "seq --help"])
 def test_a_stdout_closed_from_the_start_exits_141_with_nothing_on_stderr(argv):
     result = run_with_closed(">&-", argv)
     assert (result.returncode, result.stderr) == (141, "")
@@ -984,3 +1020,117 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "oct", "--kind", "JO", "--n", "5", "--closed")
     assert (code, out) == (3, "")
     assert err == "j3o: error: InconsistencyError: closed form left a remainder\n"
+
+
+# --- the process: cli.run ---------------------------------------------------------
+
+
+def request_env(unbuffered):
+    """The environment of a fresh interpreter that imports this package,
+    and whose stdout is unbuffered or block-buffered."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def request(argv, unbuffered=True, stdout=subprocess.PIPE):
+    """A request as ``python -m jacobsthal_octonions`` in a fresh
+    interpreter (``request_env``): its ``CompletedProcess``, in bytes."""
+    return subprocess.run([sys.executable, "-m", "jacobsthal_octonions", *argv],
+                          env=request_env(unbuffered), stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+def in_process(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, argparse's exits included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+@BUFFERING
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", [
+    "seq --kind jl3 --from 5 --to 40",
+    "oct --kind JO --n 40 --closed",
+    "mul-table",
+    "verify --identity E4 --to 40",
+    # Four chunks: on two CPUs the request forks.
+    "verify --identity T5_QUAD --variant both --from 3 --to 200",
+])
+def test_a_process_writes_what_main_writes(capsys, monkeypatch, tmp_path, argv, fmt,
+                                           unbuffered):
+    argv = [*argv.split(), "--format", fmt]
+    code, out, err = in_process(capsys, monkeypatch, argv)
+    assert code == (1 if "T5_QUAD" in argv else 0)
+    result = request(argv, unbuffered)
+    assert (result.returncode, result.stderr.decode()) == (code, err)
+    assert_same_text(result.stdout.decode(), out)
+    target = tmp_path / "out"
+    result = request([*argv, "--out", str(target)], unbuffered)
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (code, b"", err)
+    assert_same_text(target.read_text(encoding="utf-8"), out)
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv, code", [
+    ("--help", 0), ("seq --help", 0), ("verify --help", 0),
+    ("bogus", 2), ("seq --kind nope --to 3", 2), ("oct --kind JO --n -1", 2),
+    ("seq --kind j3 --to 1000001", 2),
+])
+def test_help_and_usage_errors_exit_as_main_does(capsys, monkeypatch, argv, code, unbuffered):
+    # A buffered help is still in stdout's buffer when main returns.
+    expected = in_process(capsys, monkeypatch, argv.split())
+    assert expected[0] == code
+    result = request(argv.split(), unbuffered)
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == expected
+    assert (result.stdout != b"") is (code == 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
+@pytest.mark.parametrize("argv", ["seq --kind j3 --to 5", "oct --kind JO --n 3", "mul-table",
+                                  "--help", "seq --help",
+                                  "verify --all --variant both --to 300 --format json"])
+def test_a_full_stdout_exits_3_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        result = request(argv.split(), unbuffered, stdout=full)
+    assert result.returncode == cli.EXIT_ERROR == 3
+    assert result.stderr == b"j3o: error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_a_request_leaves_without_the_interpreter_teardown():
+    # No atexit handler runs: the process leaves at its last flush.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import atexit, sys\n"
+            "atexit.register(print, 'teardown')\n"
+            "sys.argv[1:] = ['mul-table', '--format', 'csv']\n"
+            "from jacobsthal_octonions import cli\n"
+            "cli.run()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("e0,1,e1,") and "teardown" not in result.stdout
+
+
+@BUFFERING
+def test_a_profiled_request_still_prints_its_stats(capsys, monkeypatch, unbuffered):
+    # cProfile prints its stats once the profiled module exits, so a
+    # watched request leaves through sys.exit.
+    table = in_process(capsys, monkeypatch, ["mul-table"])[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "jacobsthal_octonions", "mul-table"],
+        env=request_env(unbuffered), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith(table)
+    assert "function calls" in result.stdout[len(table):]

@@ -3,7 +3,8 @@
 A ``j3o`` request is one process, so start-up is part of its cost: the
 package leaves ``dataclasses`` (and ``inspect`` behind it) unimported, only
 the requests that verify load ``identities``, only a rational witness
-loads ``fractions``, and only an octonion witness ``decimal``.  Only
+loads ``fractions``, only an octonion witness ``decimal``, and only json
+output, or a plain verify failure, ``json``.  Only
 modules that the package controls are asserted: which standard modules
 the interpreter itself preloads differs between Python versions.
 """
@@ -48,6 +49,23 @@ def test_requests_that_only_generate_leave_the_identity_table_unloaded(argv):
     code = f"from jacobsthal_octonions import cli\nassert cli.main({argv!r}) == 0"
     loaded = loaded_after(code, "dataclasses", "fractions", IDENTITIES)
     assert not any(loaded.values()), loaded
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kind", "j3", "--to", "30"],
+    ["oct", "--kind", "JO", "--n", "30", "--closed"],
+    ["mul-table"],
+])
+def test_only_json_output_loads_json(argv, fmt):
+    # Whether the interpreter preloads json differs between versions, so
+    # the probe compares, and its run fails if the request loads it or not.
+    code = ("import sys\n"
+            "before = 'json' in sys.modules\n"
+            "from jacobsthal_octonions import cli\n"
+            f"assert cli.main({argv + ['--format', fmt]!r}) == 0\n"
+            f"assert ('json' in sys.modules) is (before or {fmt == 'json'})")
+    loaded_after(code)
 
 
 def test_verify_loads_the_identity_table():
